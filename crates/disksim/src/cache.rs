@@ -73,9 +73,9 @@ pub struct DiskCache {
     hits: u64,
     misses: u64,
     /// `config.segment_sectors().max(1)`, resolved once — `fill` runs on
-    /// every medium access and the quotient never changes. Skipped in
-    /// serialization; a deserialized cache re-derives it lazily.
-    #[serde(skip)]
+    /// every medium access and the quotient never changes. Serialized
+    /// like every other field, so checkpoints carry it; a zero read
+    /// back from a hand-edited state is re-derived from `config`.
     segment_clip: u64,
 }
 

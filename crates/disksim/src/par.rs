@@ -7,7 +7,9 @@
 //! the property the experiment cache and the fleet determinism tests
 //! lean on. `disklab::engine` re-exports these functions; they live here
 //! so `diskfleet` can advance enclosure shards through the same
-//! discipline without a dependency cycle through the lab crate.
+//! discipline without a dependency cycle through the lab crate. The
+//! serial [`merge_runs_by`] sits beside them: it is how the fleet turns
+//! its per-enclosure event runs back into one deterministic stream.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -121,58 +123,66 @@ where
     });
 }
 
-/// Merges pre-sorted runs into one sorted vector, equal to the *stable*
-/// sort of their concatenation: on ties (`cmp` returns `Equal`) the
-/// element from the earlier run wins, and within a run original order is
-/// kept. Runs merge pairwise-adjacent in `ceil(log2(k))` rounds, each
-/// round fanned out through [`parallel_map`], so the result is
-/// byte-identical at any thread count while the heavy merging
-/// parallelizes. Empty runs are fine; each run must already be sorted
-/// under `cmp` (ascending).
+/// Streams the merge of pre-sorted runs through `emit`, one borrowed
+/// element at a time, in exactly the order of the *stable* sort of the
+/// runs' concatenation: on ties (`cmp` returns `Equal`) the element from
+/// the earlier run comes first, and within a run original order is
+/// kept. Empty runs are fine; each run must already be sorted under
+/// `cmp` (ascending).
 ///
-/// This is the fleet's epoch-boundary event merge: every enclosure
-/// emits a time-sorted event run per epoch and the global trace is the
-/// stable merge of those runs — exactly what the old global
-/// `sort_by(total_cmp)` over the concatenation produced, without the
-/// serial O(n log n) sort.
-pub fn parallel_merge_by<T, F>(runs: Vec<Vec<T>>, threads: usize, cmp: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&T, &T) -> std::cmp::Ordering + Sync,
-{
-    let mut runs = runs;
-    while runs.len() > 1 {
-        let mut pairs = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(left) = it.next() {
-            pairs.push((left, it.next()));
-        }
-        runs = parallel_map(pairs, threads, |(left, right)| match right {
-            Some(right) => merge_two(left, right, &cmp),
-            None => left,
-        });
-    }
-    runs.pop().unwrap_or_default()
-}
-
-/// Stable two-way merge: ties and within-run order favour `left`.
-fn merge_two<T, F>(left: Vec<T>, right: Vec<T>, cmp: &F) -> Vec<T>
+/// A binary min-heap holds one cursor per non-empty run, keyed on `cmp`
+/// of the run's current head and then on the run index, so each element
+/// costs O(log k) comparisons. Nothing is moved, copied, or collected:
+/// the caller keeps its runs (and their capacity) and decides what
+/// `emit` does with each element.
+///
+/// This is the fleet's epoch-boundary event merge: the routing run and
+/// every enclosure's time-sorted run stream straight into the sink, in
+/// exactly the order a global stable time-sort of the concatenation
+/// would produce, whatever the shard count.
+pub fn merge_runs_by<T, F>(runs: &[&[T]], cmp: F, mut emit: impl FnMut(&T))
 where
     F: Fn(&T, &T) -> std::cmp::Ordering,
 {
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    let mut left = left.into_iter().peekable();
-    let mut right = right.into_iter().peekable();
-    while let (Some(l), Some(r)) = (left.peek(), right.peek()) {
-        if cmp(l, r) != std::cmp::Ordering::Greater {
-            out.extend(left.next());
-        } else {
-            out.extend(right.next());
+    // Heap entries are (run, position of the run's head).
+    let mut heap: Vec<(usize, usize)> = Vec::with_capacity(runs.len());
+    let before = |heap: &[(usize, usize)], a: usize, b: usize| {
+        let ((ra, pa), (rb, pb)) = (heap[a], heap[b]);
+        cmp(&runs[ra][pa], &runs[rb][pb]).then(ra.cmp(&rb)) == std::cmp::Ordering::Less
+    };
+    let sift_down = |heap: &mut [(usize, usize)], mut at: usize| loop {
+        let (left, right) = (2 * at + 1, 2 * at + 2);
+        let mut least = at;
+        if left < heap.len() && before(heap, left, least) {
+            least = left;
         }
+        if right < heap.len() && before(heap, right, least) {
+            least = right;
+        }
+        if least == at {
+            return;
+        }
+        heap.swap(at, least);
+        at = least;
+    };
+    heap.extend(
+        runs.iter()
+            .enumerate()
+            .filter(|(_, run)| !run.is_empty())
+            .map(|(r, _)| (r, 0)),
+    );
+    for at in (0..heap.len() / 2).rev() {
+        sift_down(&mut heap, at);
     }
-    out.extend(left);
-    out.extend(right);
-    out
+    while let Some(&(r, p)) = heap.first() {
+        emit(&runs[r][p]);
+        if p + 1 < runs[r].len() {
+            heap[0].1 = p + 1;
+        } else {
+            heap.swap_remove(0);
+        }
+        sift_down(&mut heap, 0);
+    }
 }
 
 /// Pops from the worker's own deque, stealing from peers when empty.
@@ -211,6 +221,14 @@ mod tests {
         assert_eq!(parallel_map(vec![7], 8, |x| x + 1), vec![8]);
     }
 
+    /// Collects `merge_runs_by` into a vector of copies.
+    fn merged<T: Copy>(runs: &[Vec<T>], cmp: impl Fn(&T, &T) -> std::cmp::Ordering) -> Vec<T> {
+        let runs: Vec<&[T]> = runs.iter().map(Vec::as_slice).collect();
+        let mut out = Vec::new();
+        merge_runs_by(&runs, cmp, |x| out.push(*x));
+        out
+    }
+
     #[test]
     fn merge_matches_stable_sort_with_ties_and_empty_runs() {
         // Keys repeat across runs; payloads record (run, slot) so the
@@ -225,14 +243,22 @@ mod tests {
         ];
         let mut expected: Vec<(u32, usize, usize)> = runs.concat();
         expected.sort_by_key(|e| e.0); // sort_by_key is stable
-        for threads in [1, 2, 8] {
-            let got = parallel_merge_by(runs.clone(), threads, |a, b| a.0.cmp(&b.0));
-            assert_eq!(got, expected, "threads = {threads}");
-        }
+        assert_eq!(merged(&runs, |a, b| a.0.cmp(&b.0)), expected);
+        assert_eq!(merged(&[] as &[Vec<u8>], |a, b| a.cmp(b)), Vec::<u8>::new());
         assert_eq!(
-            parallel_merge_by(Vec::<Vec<u8>>::new(), 4, |a, b| a.cmp(b)),
+            merged(&[vec![], vec![]] as &[Vec<u8>], |a, b| a.cmp(b)),
             Vec::<u8>::new()
         );
+    }
+
+    #[test]
+    fn merge_borrows_and_leaves_runs_intact() {
+        let a = vec![String::from("a"), String::from("c")];
+        let b = vec![String::from("b")];
+        let mut seen = Vec::new();
+        merge_runs_by(&[&a, &b], |x, y| x.cmp(y), |s| seen.push(s.clone()));
+        assert_eq!(seen, ["a", "b", "c"]);
+        assert_eq!(a.len() + b.len(), 3, "the runs are only borrowed");
     }
 
     #[test]

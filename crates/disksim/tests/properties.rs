@@ -203,13 +203,11 @@ proptest! {
 
     // The fleet's epoch boundary replaces one global stable time-sort
     // with a k-way merge of pre-sorted per-enclosure runs. The two must
-    // agree byte-for-byte at any thread count — including exact ties
-    // (same `t` in different runs must keep earlier-run-first order)
-    // and empty runs.
+    // agree byte-for-byte — including exact ties (same `t` in different
+    // runs must keep earlier-run-first order) and empty runs.
     #[test]
     fn kway_merge_equals_global_stable_sort(
         raw in prop::collection::vec(prop::collection::vec(0u8..6, 0..40), 0..9),
-        threads in 1usize..9,
     ) {
         // Times on a coarse grid so exact cross-run ties are common;
         // payloads record (run, slot) to make tie order observable.
@@ -227,7 +225,9 @@ proptest! {
             .collect();
         let mut expected: Vec<(f64, usize, usize)> = runs.concat();
         expected.sort_by(|a, b| a.0.total_cmp(&b.0)); // the old global stable sort
-        let got = disksim::par::parallel_merge_by(runs, threads, |a, b| a.0.total_cmp(&b.0));
+        let slices: Vec<&[(f64, usize, usize)]> = runs.iter().map(Vec::as_slice).collect();
+        let mut got = Vec::with_capacity(expected.len());
+        disksim::par::merge_runs_by(&slices, |a, b| a.0.total_cmp(&b.0), |e| got.push(*e));
         prop_assert_eq!(got, expected);
     }
 

@@ -9,11 +9,13 @@
 //! airflow prefixes, coordinator transitions, pre-sorted per-enclosure
 //! event runs) and only two cheap deterministic reduces run serially —
 //! the O(log n)-per-request routing commit and the per-level airflow /
-//! coordinator commit in enclosure order. The per-enclosure event runs
-//! merge through `disksim::par::parallel_merge_by`, which equals the
-//! old global stable time-sort byte for byte. Every cross-enclosure
-//! interaction reads epoch-start state and commits in enclosure order,
-//! which is why the run is byte-identical at any shard count.
+//! coordinator commit in enclosure order. When tracing, the routing run
+//! and the per-enclosure event runs then stream into the sink through
+//! the serial heap merge `disksim::par::merge_runs_by`, which emits
+//! exactly the order of a global stable time-sort. Every
+//! cross-enclosure interaction reads epoch-start state and commits in
+//! enclosure order, which is why the run is byte-identical at any
+//! shard count.
 
 use crate::airflow::{rack_heats, AirflowGraph};
 use crate::coordinator::{Coordinator, CoordinatorState, CtlProposal, FleetDtmPolicy};
@@ -193,7 +195,8 @@ struct Enclosure {
     /// the shard so the epoch boundary only merges per-bay summaries.
     stats: ResponseStats,
     /// This epoch's pre-sorted event run (the drained drive stream plus
-    /// the bay's boundary events), consumed by the k-way merge.
+    /// the bay's boundary events), streamed into the sink by the k-way
+    /// merge and then cleared, keeping its capacity.
     run: Vec<diskobs::TimedEvent>,
 }
 
@@ -985,18 +988,20 @@ impl Fleet {
     /// Advances the fleet through exactly one sync epoch: commits the
     /// epoch's routing, sweeps every enclosure's windows in parallel,
     /// rolls the airflow hierarchy up and back down, stages and commits
-    /// the coordinator's decisions, and merges the per-enclosure event
-    /// runs. [`Self::run`] is a loop over this method; the digital twin
-    /// calls it directly to keep a fleet warm while it serves queries.
+    /// the coordinator's decisions, and streams the per-enclosure event
+    /// runs into `sink`. [`Self::run`] is a loop over this method; the
+    /// digital twin calls it directly to keep a fleet warm while it
+    /// serves queries.
     ///
     /// The boundary itself is split-phase: the shards *propose* in two
     /// parallel passes (window sweeps and statistics folds in pass A,
     /// ambient push-back and coordinator proposals in pass B) and only
     /// three cheap reduces run serially — the O(log n)-per-request
     /// routing commit, the O(racks) airflow roll-up, and the in-order
-    /// coordinator commit. Every proposal reads epoch-start state and
-    /// every commit happens in enclosure order, so the results are
-    /// byte-identical at any shard count.
+    /// coordinator commit — plus, when tracing, the k-way event merge.
+    /// Every proposal reads epoch-start state and every commit happens
+    /// in enclosure order, so the results are byte-identical at any
+    /// shard count.
     pub fn step_epoch(&mut self, sink: &mut diskobs::Sink, profile: &mut FleetPhaseProfile) {
         if !self.primed {
             self.coordinator
@@ -1146,21 +1151,22 @@ impl Fleet {
         self.coordinator.commit_all(&self.hot.proposals);
 
         if ctx.sink_enabled {
-            // Parallel k-way merge of the pre-sorted runs (routing
-            // decisions first, then each bay's stream): equal
-            // timestamps keep run order, exactly as the old global
-            // stable time-sort did, so the bytes are shard-independent.
-            let stamp = std::time::Instant::now();
-            let mut runs = Vec::with_capacity(n + 1);
-            runs.push(routing_run);
-            runs.extend(self.enclosures.iter_mut().map(|e| std::mem::take(&mut e.run)));
-            let merged =
-                disksim::par::parallel_merge_by(runs, self.threads, |a, b| a.t.total_cmp(&b.t));
-            sink.extend(merged);
-            parallel += stamp.elapsed();
-        } else {
-            self.routing_run = routing_run;
+            // Serial k-way merge of the pre-sorted runs straight into
+            // the sink (routing run first, then each bay's run, so equal
+            // timestamps keep that order, exactly as a global stable
+            // time-sort would): the bytes are shard-independent, and
+            // the runs are borrowed, then cleared with their capacity
+            // kept for the next epoch. It counts as serial time.
+            let mut runs: Vec<&[diskobs::TimedEvent]> = Vec::with_capacity(n + 1);
+            runs.push(&routing_run);
+            runs.extend(self.enclosures.iter().map(|e| e.run.as_slice()));
+            disksim::par::merge_runs_by(&runs, |a, b| a.t.total_cmp(&b.t), |e| sink.record(e));
+            routing_run.clear();
+            for e in &mut self.enclosures {
+                e.run.clear();
+            }
         }
+        self.routing_run = routing_run;
 
         self.epochs += 1;
         self.now = epoch_end;

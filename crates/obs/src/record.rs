@@ -176,8 +176,13 @@ impl Recorder for RingRecorder {
 
 /// Streams events as newline-delimited JSON, one compact object per
 /// line — the `lab trace` file format.
+///
+/// Each event renders straight into one reused line buffer (no value
+/// tree) and reaches the writer in a single `write_all`, so once the
+/// buffer has grown to the longest line, recording allocates nothing.
 pub struct NdjsonRecorder<W: Write> {
     out: W,
+    line: String,
     lines: u64,
     error: Option<io::Error>,
 }
@@ -227,6 +232,7 @@ impl<W: Write> NdjsonRecorder<W> {
     pub fn new(out: W) -> Self {
         Self {
             out,
+            line: String::new(),
             lines: 0,
             error: None,
         }
@@ -254,9 +260,10 @@ impl<W: Write> Recorder for NdjsonRecorder<W> {
         if self.error.is_some() {
             return;
         }
-        let line = event.to_ndjson_line();
-        if let Err(e) = self.out.write_all(line.as_bytes()).and_then(|()| self.out.write_all(b"\n"))
-        {
+        self.line.clear();
+        serde::Serialize::write_json(event, &mut self.line);
+        self.line.push('\n');
+        if let Err(e) = self.out.write_all(self.line.as_bytes()) {
             self.error = Some(e);
             return;
         }
@@ -397,6 +404,18 @@ impl Sink {
     pub fn drain_into(&mut self, out: &mut Vec<TimedEvent>) {
         if let SinkKind::Buffer(events) = &mut self.kind {
             out.append(events);
+        }
+    }
+
+    /// Feeds one already-timed event through by reference: a recorder
+    /// renders it in place and a buffer keeps a copy, so a caller that
+    /// owns reusable event buffers (the fleet's per-bay runs) can
+    /// stream them without giving them up.
+    pub fn record(&mut self, event: &TimedEvent) {
+        match &mut self.kind {
+            SinkKind::Null => {}
+            SinkKind::Buffer(buffer) => buffer.push(event.clone()),
+            SinkKind::Recorder(r) => r.record(event),
         }
     }
 

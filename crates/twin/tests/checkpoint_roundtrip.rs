@@ -155,6 +155,26 @@ fn mid_raid_rebuild_state_round_trips() {
     );
 }
 
+/// Checkpoint bodies stream through `Serialize::write_json`; they must
+/// stay exactly the value tree's compact rendering — the format every
+/// committed checkpoint was written in — for warmed twins of every
+/// workload preset (no `STATE_VERSION` change rides on the encoder).
+#[test]
+fn encoded_body_equals_the_value_tree_rendering() {
+    for preset in 0..workloads::presets().len() {
+        let mut twin = twin_for(preset);
+        for _ in 0..3 {
+            twin.advance_epoch().expect("advance");
+        }
+        let state = twin.capture_state();
+        let bytes = encode(&state).expect("encode");
+        let header_end = bytes.iter().position(|&b| b == b'\n').expect("header line");
+        let body = std::str::from_utf8(&bytes[header_end + 1..bytes.len() - 1]).unwrap();
+        let tree = serde::ser::to_compact(&serde::Serialize::to_value(&state));
+        assert!(body == tree, "preset {preset}: streamed body differs from the tree rendering");
+    }
+}
+
 fn sample_bytes() -> Vec<u8> {
     let twin = twin_for(1);
     encode(&twin.capture_state()).expect("encode")

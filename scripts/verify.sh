@@ -32,8 +32,13 @@ echo "==> cargo test -q -p disklab --test lab_determinism trace_bytes"
 # byte-identical at any shard count.
 cargo test -q -p disklab --test lab_determinism trace_bytes_are_identical_at_any_shard_count
 
-echo "==> cargo run --release --bin lab -- trace figure5"
-cargo run --release --bin lab -- trace figure5
+echo "==> cargo test -q -p disklab --test lab_determinism committed_traces"
+# Trace bytes must not drift: every registered trace scenario is re-run
+# into a temporary directory and all nine files (NDJSON stream, metrics
+# registry, snapshot timeseries) must equal the committed results/trace_*
+# byte for byte. Unlike the shard-count test above, this also catches a
+# change that alters the bytes the same way at every shard count.
+cargo test -q -p disklab --test lab_determinism committed_traces_regenerate_byte_identically
 
 echo "==> shard-scaling smoke: 4 shards byte-identical to serial"
 # The parallel epoch boundary must be invisible in the results: the

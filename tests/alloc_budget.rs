@@ -11,7 +11,9 @@
 //! a long run of further windows performs **zero** heap allocations.
 //! A third subject pins the surrogate training sweep's per-point
 //! target reduction (`disklab::sweep::reduce_targets`) to the same
-//! budget once its scratch buffers are warm.
+//! budget once its scratch buffers are warm, and a fourth pins NDJSON
+//! trace recording: once its line buffer has held the longest line,
+//! `NdjsonRecorder` renders and writes events without touching the heap.
 //!
 //! Everything lives in one `#[test]` function: the counter is global,
 //! and the test harness runs sibling tests on other threads, which
@@ -227,4 +229,107 @@ fn steady_state_windows_allocate_nothing() {
         scratch.values.iter().all(|v| v.is_finite()),
         "reduced targets stay finite"
     );
+
+    // --- Subject 4: NDJSON recording. ---
+    // Every event renders straight into the recorder's reused line
+    // buffer (no value tree, no per-event `String`) and reaches the
+    // writer in one `write_all`. The events are built up front — their
+    // construction is the producer's cost, not the recorder's — and one
+    // warm-up event, the mix's longest line, sizes the buffer.
+    use diskobs::{Event, NdjsonRecorder, Recorder, TimedEvent};
+    let mix: Vec<TimedEvent> = [
+        Event::RequestIssue {
+            id: 1 << 40,
+            device: 3,
+            lba: 987_654_321,
+            sectors: 64,
+            kind: "write",
+        },
+        Event::RequestComplete {
+            id: 17,
+            start: 12.345_678_901,
+            response_ms: 7.25,
+        },
+        Event::RpmTransition {
+            drive: 5,
+            from: 15_020.0,
+            to: 12_000.0,
+        },
+        Event::ThrottleEngage {
+            drive: 2,
+            sensed_c: 45.220_000_1,
+        },
+        Event::ThrottleDisengage {
+            drive: 2,
+            sensed_c: f64::NAN,
+        },
+        Event::CoordinatorAction {
+            drive: 9,
+            action: "downshift",
+        },
+        Event::RoutingDecision {
+            request: u64::MAX,
+            drive: 63,
+        },
+        Event::SensorReading {
+            drive: 0,
+            sensed_c: 44.0,
+            actual_c: 44.712_345_678_9,
+        },
+        Event::Snapshot {
+            drive: 1_023,
+            air_c: 43.219_876_543_21,
+            ambient_c: -0.0,
+            queue: 12,
+            util: 0.123_456_789_012_345_6,
+            duty: 5e-324,
+            rpm: 26_750.0,
+            gated: true,
+        },
+        Event::DriveFailed {
+            enclosure: 4,
+            disk: 1,
+        },
+        Event::RebuildProgress {
+            enclosure: 4,
+            done: 65_536,
+            total: 1 << 33,
+        },
+        Event::CoolingExcursion {
+            lo: 0,
+            hi: 16,
+            delta_c: 3.0,
+        },
+        Event::TrafficPhase { factor: 1e17 },
+        Event::Log {
+            level: "info",
+            message: "epoch \"7\" \\ done\t\u{1} é".into(),
+        },
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, event)| TimedEvent {
+        t: 0.25 * i as f64 + 1e-3,
+        event,
+    })
+    .collect();
+    let longest = mix
+        .iter()
+        .max_by_key(|e| e.to_ndjson_line().len())
+        .expect("the mix is not empty");
+    let mut recorder = NdjsonRecorder::new(std::io::sink());
+    recorder.record(longest);
+    let before = allocations();
+    for _ in 0..64 {
+        for e in &mix {
+            recorder.record(e);
+        }
+    }
+    let ndjson_allocs = allocations() - before;
+    assert_eq!(
+        ndjson_allocs, 0,
+        "NDJSON recording allocated {ndjson_allocs} times in steady state"
+    );
+    assert_eq!(recorder.lines(), 1 + 64 * mix.len() as u64);
+    assert!(recorder.error().is_none());
 }

@@ -266,3 +266,34 @@ fn trace_bytes_are_identical_at_any_shard_count() {
     let _ = fs::remove_dir_all(&dir1);
     let _ = fs::remove_dir_all(&dir8);
 }
+
+#[test]
+fn committed_traces_regenerate_byte_identically() {
+    // The shard-count test above cannot see a change that alters the
+    // trace bytes the same way at every shard count (an encoder or
+    // merge-order change, say). Pin every committed trace artifact —
+    // the NDJSON stream, its metrics registry, and its snapshot
+    // timeseries for each registered scenario — against a fresh run.
+    let dir = scratch("committed-traces");
+    let committed = disklab::results_dir().unwrap();
+    let mut compared = 0;
+    for name in disklab::trace_names() {
+        let outcome = disklab::run_trace(name, 1, &dir).unwrap();
+        assert_eq!(outcome.files.len(), 3);
+        for fresh in &outcome.files {
+            let file = fresh.file_name().unwrap();
+            let want = fs::read(committed.join(file)).unwrap();
+            let got = fs::read(fresh).unwrap();
+            assert!(
+                got == want,
+                "{} differs from the committed results/ copy ({} vs {} bytes)",
+                file.to_string_lossy(),
+                got.len(),
+                want.len()
+            );
+            compared += 1;
+        }
+    }
+    assert_eq!(compared, 9, "three files for each of the three scenarios");
+    let _ = fs::remove_dir_all(&dir);
+}
