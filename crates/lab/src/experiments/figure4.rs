@@ -3,8 +3,8 @@
 //! ignored, as in the paper).
 //!
 //! The paper replays 3–6 million requests per trace; [`Figure4`]
-//! defaults to 200,000 per workload, and the `figure4` wrapper binary
-//! still accepts a request-count argument to approach trace scale.
+//! replays 200,000 per workload at full scale and 2,000 under
+//! `--quick`.
 
 use crate::engine::{default_parallelism, parallel_map};
 use crate::experiments::config_object;

@@ -1,10 +1,10 @@
 //! The ported experiment implementations — one module per table/figure.
 //!
 //! Each module holds an [`Experiment`](crate::Experiment) whose `run`
-//! builds the same text report the old `bench` binary printed and the
-//! same JSON payload(s) it saved, so regenerated artifacts keep their
-//! shape.
+//! builds a text report (`results/<name>.txt`) and one or more JSON
+//! payloads (`results/<stem>.json`).
 
+pub mod ablations;
 pub mod capacity_plan;
 pub mod figure1;
 pub mod figure2;

@@ -5,8 +5,9 @@
 //! work-stealing thread pool, serves repeat runs from a
 //! content-addressed cache under `results/.cache/`, and records what
 //! happened in `results/manifest.json`. The `lab` binary is the single
-//! CLI front end; the old per-experiment binaries in the `bench` crate
-//! are thin wrappers over [`cli`].
+//! CLI front end: it also runs the benchmark suites ([`bench`]), the
+//! drive-model calculators ([`model_cli`]), instrumented traces
+//! ([`trace`]) and the digital-twin server ([`twin_cli`]).
 
 pub mod bench;
 pub mod cli;
@@ -16,6 +17,7 @@ pub mod error;
 pub mod experiment;
 pub mod experiments;
 pub mod manifest;
+pub mod model_cli;
 pub mod registry;
 pub mod sweep;
 pub mod text;

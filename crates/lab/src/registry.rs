@@ -2,7 +2,7 @@
 
 use crate::experiment::{Experiment, Scale};
 use crate::experiments::{
-    capacity_plan::CapacityPlan,
+    ablations::Ablations, capacity_plan::CapacityPlan,
     figure1::Figure1, figure2::Figure2, figure3::Figure3, figure4::Figure4, figure5::Figure5,
     figure7::Figure7, fleet_hall::FleetHall, fleet_routing::FleetRouting,
     fleet_scaling::FleetScaling,
@@ -14,6 +14,7 @@ use crate::experiments::{
 /// Every registered experiment, in name order, at the given scale.
 pub fn registry(scale: Scale) -> Vec<Box<dyn Experiment>> {
     vec![
+        Box::new(Ablations),
         Box::new(CapacityPlan::at_scale(scale)),
         Box::new(Figure1::default()),
         Box::new(Figure2),
@@ -57,7 +58,7 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(names, sorted, "registry must stay in sorted name order");
-        assert_eq!(names.len(), 19);
+        assert_eq!(names.len(), 20);
     }
 
     #[test]
@@ -74,7 +75,7 @@ mod tests {
             .iter()
             .map(|e| e.config_digest())
             .collect();
-        assert_eq!(digests.len(), 19);
+        assert_eq!(digests.len(), 20);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Text-report helpers shared by every experiment, plus the
-//! `results/`-directory plumbing that used to live in the `bench` crate
-//! (now Result-returning instead of panicking).
+//! `results/`-directory plumbing (Result-returning, never panicking).
 
 use serde::Serialize;
 use std::fs;

@@ -65,7 +65,8 @@ fn workload_by_key(key: &str) -> Result<workloads::WorkloadPreset, String> {
     }
 }
 
-fn parse_flag<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+/// Parses the value that follows `flag`, naming the flag in the error.
+pub(crate) fn parse_flag<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
     let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
     v.parse().map_err(|_| format!("bad {flag} value {v:?}"))
 }

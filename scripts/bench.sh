@@ -1,11 +1,9 @@
 #!/usr/bin/env sh
-# Benchmark baselines: times the integrators, the steady-state solver,
-# end-to-end experiments, the storage event core (window loop plus
-# calendar-vs-heap queue churn), the fleet event loop with its
-# parallel/serial phase split, and the instrumentation overhead, then
-# writes BENCH_thermal.json, BENCH_sim.json, BENCH_fleet.json, and
-# BENCH_obs.json at the repo root (pass --quick for a fast smoke run
-# that skips the writes and asserts the obs-overhead bound instead).
+# Benchmark baselines: runs the lab bench suites (thermal, sim, fleet,
+# obs, twin, scenario, surrogate; all of them unless some are named) and
+# writes each suite's BENCH_<suite>.json at the repo root. Pass --quick
+# for a fast smoke run that skips the writes, asserts the in-process
+# bounds and diffs the gated fields against the committed files.
 set -eu
 
 cd "$(dirname "$0")/.."

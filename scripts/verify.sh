@@ -56,28 +56,23 @@ echo "==> scenario smoke: rebuild storm byte-identical at any shard count"
 cargo test -q -p disklab --test lab_determinism -- \
     scenario_rebuild_is_byte_identical_at_any_shard_count
 
-echo "==> cargo run --release --bin lab -- bench scenario --quick"
-# Scenario subsystem bench: trace-replay draw throughput plus the
-# epoch-cost overhead of a rebuild storm against a clean baseline,
-# gated against the committed BENCH_scenario.json.
-cargo run --release --bin lab -- bench scenario --quick
-
-echo "==> cargo run --release --bin lab -- bench surrogate --quick"
-# Capacity-plan screening bench: the fitted-grid screen against the
-# full simulator, with the per-candidate screening cost gated against
-# the committed BENCH_surrogate.json.
-cargo run --release --bin lab -- bench surrogate --quick
-
 echo "==> cargo run --release --bin lab -- bench --quick"
-# Quick bench exercises every suite (thermal kernel, storage event
-# core, fleet phase split, obs, twin) and asserts two in-process
-# bounds — paired null-sink fleet runs must agree to within the noise
-# margin, and the hall workload's measured serial fraction must stay
-# under the shard-scaling gate (the committed BENCH_fleet.json pins
-# the tighter < 3%) — then diffs its re-measured rates against every
-# committed BENCH_*.json baseline and exits non-zero past the
-# regression tolerance. Projected shard speedups (hosts without 8
-# cores) are excluded from the diff by construction.
+# One line runs all seven suites, each gated against its committed
+# BENCH_*.json (exit non-zero past the regression tolerance):
+# - thermal: integrator and steady-solve rates, figure5 wall time;
+# - sim: the storage event core's window loop;
+# - fleet: the rack's serial rate, and the in-process bound that the
+#   hall workload's measured serial fraction stays under the
+#   shard-scaling gate (the committed BENCH_fleet.json pins the
+#   tighter < 3%); projected shard speedups (hosts without 8 cores)
+#   are excluded from the diff by construction;
+# - obs: the in-process bound that paired null-sink fleet runs agree to
+#   within the noise margin;
+# - twin: checkpoint encode and restore throughput;
+# - scenario: trace-replay draw throughput plus the epoch cost of an
+#   unperturbed fleet (a rebuild storm is measured alongside);
+# - surrogate: the fitted-grid screening cost per candidate against the
+#   full simulator.
 cargo run --release --bin lab -- bench --quick
 
 echo "==> twin smoke test (serve, 3 concurrent what-if queries, 2 runs)"
