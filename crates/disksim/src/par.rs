@@ -1,15 +1,14 @@
-//! Deterministic work-stealing parallelism shared by the lab engine and
-//! the fleet's sharded event loop.
+//! Deterministic work-stealing parallelism: the one pool behind the lab
+//! engine's experiment scheduler and every parallel sweep.
 //!
 //! The scheduler is free to interleave work any way it likes, but
 //! [`parallel_map`] always returns its outputs in item order, so callers
 //! that keep `f` pure get byte-identical results at any thread count —
-//! the property the experiment cache and the fleet determinism tests
-//! lean on. `disklab::engine` re-exports these functions; they live here
-//! so `diskfleet` can advance enclosure shards through the same
-//! discipline without a dependency cycle through the lab crate. The
-//! serial [`merge_runs_by`] sits beside them: it is how the fleet turns
-//! its per-enclosure event runs back into one deterministic stream.
+//! the property the experiment cache and the determinism tests lean
+//! on. `disklab::engine` re-exports it. The fleet shards its epoch loop
+//! over hand-split contiguous chunks instead; the serial
+//! [`merge_runs_by`] here is how it turns its per-enclosure event runs
+//! back into one deterministic stream.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -25,9 +24,9 @@ pub fn default_parallelism() -> usize {
         .min(8)
 }
 
-/// Maps `f` over `items` across up to `threads` workers, using the same
-/// work-stealing discipline as the experiment scheduler, and returns
-/// the outputs in item order.
+/// Maps `f` over `items` across up to `threads` workers — each worker
+/// drains its own round-robin deque, then steals from the back of its
+/// peers' — and returns the outputs in item order.
 ///
 /// The scheduling is free to interleave any way it likes, but the
 /// result is exactly what the serial `items.into_iter().map(f)` would
@@ -82,45 +81,6 @@ where
                 .expect("every dispatched job stores its result")
         })
         .collect()
-}
-
-/// Runs `f` on every item of `items` in place across up to `threads`
-/// workers, splitting the slice into contiguous chunks.
-///
-/// The in-place form of [`parallel_map`] for callers that mutate
-/// long-lived state (the fleet advances its enclosures through each
-/// epoch this way): no per-call `Vec` of items is built and no results
-/// are collected, so a steady-state epoch loop allocates nothing here.
-/// Items never move, and `f` sees only its own item, so the outcome is
-/// exactly what the serial `items.iter_mut().for_each(f)` would
-/// produce at any thread count.
-///
-/// # Panics
-///
-/// Propagates a panic from any invocation of `f`.
-pub fn parallel_for_each<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let workers = threads.clamp(1, items.len().max(1));
-    if workers <= 1 {
-        for item in items {
-            f(item);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(workers);
-    thread::scope(|scope| {
-        let f = &f;
-        for slice in items.chunks_mut(chunk) {
-            scope.spawn(move || {
-                for item in slice {
-                    f(item);
-                }
-            });
-        }
-    });
 }
 
 /// Streams the merge of pre-sorted runs through `emit`, one borrowed
@@ -186,9 +146,7 @@ where
 }
 
 /// Pops from the worker's own deque, stealing from peers when empty.
-/// Exposed so the engine's experiment scheduler can share the exact
-/// stealing order.
-pub fn next_job(queues: &[Mutex<VecDeque<usize>>], worker: usize) -> Option<usize> {
+fn next_job(queues: &[Mutex<VecDeque<usize>>], worker: usize) -> Option<usize> {
     if let Some(job) = queues[worker].lock().expect("queue lock").pop_front() {
         return Some(job);
     }

@@ -18,6 +18,32 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use units::{Celsius, Rpm, Seconds, TempDelta};
 
+/// The control window, 250 ms (the fleet's default window too).
+const WINDOW: Seconds = Seconds::new(0.25);
+
+/// The trip/resume rule of the §5.2 speed ramp and the §5.3 throttle:
+/// the next tripped state of a drive whose sensed air is `sensed`.
+/// Trips at `envelope − guard`, releases once the reading falls
+/// `resume_margin` below that trip point, and holds otherwise — so a
+/// NaN reading holds either state.
+#[inline]
+pub fn trip(
+    tripped: bool,
+    sensed: Celsius,
+    envelope: Celsius,
+    guard: TempDelta,
+    resume_margin: TempDelta,
+) -> bool {
+    let trip = envelope - guard;
+    if !tripped && sensed >= trip {
+        true
+    } else if tripped && sensed <= trip - resume_margin {
+        false
+    } else {
+        tripped
+    }
+}
+
 /// The control policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DtmPolicy {
@@ -95,7 +121,6 @@ pub struct DtmController {
     drive: WindowedDrive,
     policy: DtmPolicy,
     envelope: Celsius,
-    window: Seconds,
     service_rpm: Rpm,
     sensor: TempSensor,
 }
@@ -115,7 +140,6 @@ impl DtmController {
             drive: WindowedDrive::new(system, model),
             policy,
             envelope,
-            window: Seconds::from_millis(250.0),
             service_rpm,
             sensor: TempSensor::ideal(),
         }
@@ -133,17 +157,6 @@ impl DtmController {
     /// Starts the thermal state from explicit node temperatures.
     pub fn with_initial_temps(mut self, temps: NodeTemps) -> Self {
         self.drive.set_initial_temps(temps);
-        self
-    }
-
-    /// Overrides the control window (default 250 ms).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is not positive.
-    pub fn with_window(mut self, window: Seconds) -> Self {
-        assert!(window.get() > 0.0, "control window must be positive");
-        self.window = window;
         self
     }
 
@@ -213,7 +226,7 @@ impl DtmController {
         }
 
         loop {
-            let window_end = now + self.window;
+            let window_end = now + WINDOW;
 
             // 1. Admission: release pending arrivals up to the window
             //    end unless gated. Original arrival timestamps are
@@ -228,19 +241,19 @@ impl DtmController {
             // (the shared driver loop body).
             let sample = self
                 .drive
-                .serve_window(window_end, self.window, &mut completions);
+                .serve_window(window_end, WINDOW, &mut completions);
             duty_acc += sample.duty;
             windows += 1;
             meter.accumulate(
                 sample.rpm,
-                self.window * (sample.duty * disks),
-                self.window * disks,
+                WINDOW * (sample.duty * disks),
+                WINDOW * disks,
             );
             let true_air = sample.air();
             max_air = max_air.max(true_air);
-            air_integral += true_air.get() * self.window.get();
+            air_integral += true_air.get() * WINDOW.get();
             if true_air > self.envelope {
-                time_over += self.window;
+                time_over += WINDOW;
             }
             // Policies act on the *sensed* temperature.
             let air = self.sensor.read(window_end, true_air);
@@ -264,10 +277,10 @@ impl DtmController {
                 });
             }
             if throttled {
-                time_throttled += self.window;
+                time_throttled += WINDOW;
             }
             if boosted {
-                time_boosted += self.window;
+                time_boosted += WINDOW;
             }
 
             // 5. Policy.
@@ -281,15 +294,13 @@ impl DtmController {
                     guard,
                     resume_margin,
                 } => {
-                    let trip = self.envelope - guard;
-                    if !throttled && air >= trip {
-                        throttled = true;
-                        if let ThrottlePolicy::VcmAndRpm { low, .. } = mechanism {
+                    throttled = trip(throttled, air, self.envelope, guard, resume_margin);
+                    if throttled != was_throttled {
+                        if !throttled {
+                            self.drive.set_all_rpm(self.service_rpm);
+                        } else if let ThrottlePolicy::VcmAndRpm { low, .. } = mechanism {
                             self.drive.set_all_rpm(low);
                         }
-                    } else if throttled && air <= trip - resume_margin {
-                        throttled = false;
-                        self.drive.set_all_rpm(self.service_rpm);
                     }
                 }
                 DtmPolicy::SlackRamp {
@@ -305,7 +316,6 @@ impl DtmController {
                         self.drive.set_all_rpm(high);
                         boosted = true;
                     }
-                    let _ = boost_ok;
                 }
                 DtmPolicy::SpeedScale {
                     high,
@@ -313,13 +323,9 @@ impl DtmController {
                     guard,
                     resume_margin,
                 } => {
-                    let trip = self.envelope - guard;
-                    if !scaled_down && air >= trip {
-                        self.drive.set_all_rpm(low);
-                        scaled_down = true;
-                    } else if scaled_down && air <= trip - resume_margin {
-                        self.drive.set_all_rpm(high);
-                        scaled_down = false;
+                    scaled_down = trip(scaled_down, air, self.envelope, guard, resume_margin);
+                    if scaled_down != was_scaled {
+                        self.drive.set_all_rpm(if scaled_down { low } else { high });
                     }
                 }
             }
@@ -345,7 +351,7 @@ impl DtmController {
                 });
             }
             if scaled_down {
-                time_throttled += self.window;
+                time_throttled += WINDOW;
             }
 
             now = window_end;
@@ -726,6 +732,38 @@ mod tests {
             steady.len(),
             chatter.len()
         );
+    }
+
+    #[test]
+    fn trip_rule_engages_holds_and_releases_at_its_edges() {
+        let envelope = Celsius::new(45.0);
+        let (guard, margin) = (TempDelta::new(0.5), TempDelta::new(1.0));
+        let engage = envelope - guard;
+        let release = engage - margin;
+        let c = Celsius::new;
+        // (tripped before, sensed, tripped after)
+        let table = [
+            (false, engage, true),
+            (false, c(engage.get() - 1e-9), false),
+            (false, c(44.0), false),
+            (false, release, false),
+            (true, c(50.0), true),
+            (true, engage, true),
+            (true, c(44.0), true),
+            (true, c(release.get() + 1e-9), true),
+            (true, release, false),
+            (true, c(40.0), false),
+            (false, c(f64::NAN), false),
+            (true, c(f64::NAN), true),
+        ];
+        for (before, sensed, after) in table {
+            assert_eq!(
+                trip(before, sensed, envelope, guard, margin),
+                after,
+                "tripped {before} at {}",
+                sensed.get()
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The shared submit/advance/measure loop under every closed-loop DTM
 //! consumer.
 //!
-//! [`DtmController`](crate::DtmController), [`MirroredPair`](crate::MirroredPair)
-//! and the fleet coordinator in `diskfleet` all advance a storage
-//! simulation in fixed control windows, measure the actuator duty the
-//! served requests actually produced, and feed it to the thermal
-//! transient at the drive's current spindle speed. [`WindowedDrive`]
+//! [`DtmController`](crate::DtmController) and every enclosure of the
+//! fleet in `diskfleet` advance a storage simulation in fixed control
+//! windows, measure the actuator duty the served requests actually
+//! produced, and feed it to the thermal transient at the drive's
+//! current spindle speed. [`WindowedDrive`]
 //! owns that loop body once: one storage system (a single disk or a
 //! whole array) coupled to one thermal transient, advanced a window at
 //! a time.
@@ -89,15 +89,6 @@ impl WindowedDrive {
     pub fn set_ambient(&mut self, ambient: Celsius) {
         let spec = self.model.spec().with_ambient(ambient);
         self.model = ThermalModel::with_params(spec, *self.model.params());
-    }
-
-    /// Submits one request to the underlying system.
-    ///
-    /// # Errors
-    ///
-    /// Propagates submission errors (bad device or range).
-    pub fn submit(&mut self, request: Request) -> Result<(), SimError> {
-        self.system.submit(request)
     }
 
     /// Releases every pending arrival up to `window_end` into the

@@ -15,8 +15,9 @@
 //! - A **closed-loop controller** ([`DtmController`]) that couples the
 //!   trace-driven simulator with the thermal transient model and
 //!   enforces the envelope on-line — the control-policy evaluation the
-//!   paper leaves as future work — plus the mirrored-read steering of
-//!   §5.4 ([`MirroredPair`]).
+//!   paper leaves as future work. Its throttle and speed-scaling arms,
+//!   and the fleet coordinator in `diskfleet`, share one trip/resume
+//!   rule ([`trip`]).
 //!
 //! # Examples
 //!
@@ -35,12 +36,10 @@
 
 mod controller;
 mod driver;
-mod mirror;
 mod slack;
 mod throttle;
 
-pub use controller::{DtmController, DtmPolicy, DtmReport};
+pub use controller::{trip, DtmController, DtmPolicy, DtmReport};
 pub use driver::{DriveState, WindowSample, WindowedDrive};
-pub use mirror::{MirrorReport, MirroredPair};
 pub use slack::{slack_roadmap, slack_table, SlackConfig, SlackRoadmapPoint, SlackRow};
 pub use throttle::{throttling_curve, throttling_ratio, ThrottleExperiment, ThrottlePolicy};

@@ -57,7 +57,7 @@ struct DriveCtl {
 /// tripped) is part of the state: restoring without it would let a
 /// gated drive resume admission one epoch early.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CoordinatorState {
+pub(crate) struct CoordinatorState {
     policy: FleetDtmPolicy,
     envelope: Celsius,
     states: Vec<DriveCtl>,
@@ -72,7 +72,7 @@ impl CoordinatorState {
 
 /// Applies a [`FleetDtmPolicy`] to every enclosure at epoch boundaries.
 #[derive(Debug, Clone)]
-pub struct Coordinator {
+pub(crate) struct Coordinator {
     policy: FleetDtmPolicy,
     envelope: Celsius,
     states: Vec<DriveCtl>,
@@ -93,25 +93,10 @@ impl Coordinator {
         self.states[i].gated
     }
 
-    /// Whether drive `i` is currently running at the reduced speed.
-    pub fn scaled_down(&self, i: usize) -> bool {
-        self.states[i].scaled_down
-    }
-
     /// Number of drives currently under control action (gated or
     /// scaled down).
     pub fn engaged(&self) -> usize {
         self.states.iter().filter(|s| s.gated || s.scaled_down).count()
-    }
-
-    /// The policy this coordinator applies.
-    pub fn policy(&self) -> FleetDtmPolicy {
-        self.policy
-    }
-
-    /// The shared thermal envelope the policy defends.
-    pub fn envelope(&self) -> Celsius {
-        self.envelope
     }
 
     /// Captures the coordinator's full control state for checkpointing.
@@ -156,29 +141,6 @@ impl Coordinator {
         }
     }
 
-    /// One control pass over the fleet: compares each drive's sensed
-    /// air temperature against the shared envelope and applies the
-    /// per-drive actuation with hysteresis. Speed changes go through
-    /// `set_rpm`; gating is published via [`Self::gated`].
-    ///
-    /// Implemented as [`Self::propose`] + [`Self::commit_one`] per
-    /// drive, so this serial pass and the fleet's parallel two-phase
-    /// epoch boundary can never disagree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `airs` does not carry one reading per drive.
-    pub fn apply(&mut self, airs: &[Celsius], mut set_rpm: impl FnMut(usize, Rpm)) {
-        assert_eq!(airs.len(), self.states.len(), "one reading per drive");
-        for (i, &air) in airs.iter().enumerate() {
-            let proposal = self.propose(i, air);
-            if let Some(rpm) = proposal.rpm {
-                set_rpm(i, rpm);
-            }
-            self.commit_one(i, proposal);
-        }
-    }
-
     /// Phase 1 of the two-phase epoch commit: drive `i`'s control
     /// transition against its *epoch-start* hysteresis state, without
     /// applying it. Each drive's decision reads only its own state and
@@ -196,51 +158,36 @@ impl Coordinator {
                 guard,
                 resume_margin,
             } => {
-                let trip = self.envelope - guard;
-                if !state.scaled_down && air >= trip {
-                    next.scaled_down = true;
-                    action = Some("downshift");
-                    rpm = Some(low);
-                } else if state.scaled_down && air <= trip - resume_margin {
-                    next.scaled_down = false;
-                    action = Some("upshift");
-                    rpm = Some(high);
+                next.scaled_down =
+                    dtm::trip(state.scaled_down, air, self.envelope, guard, resume_margin);
+                if next.scaled_down != state.scaled_down {
+                    action = Some(if next.scaled_down { "downshift" } else { "upshift" });
+                    rpm = Some(if next.scaled_down { low } else { high });
                 }
             }
             FleetDtmPolicy::Throttle {
                 guard,
                 resume_margin,
             } => {
-                let trip = self.envelope - guard;
-                if !state.gated && air >= trip {
-                    next.gated = true;
-                    action = Some("gate");
-                } else if state.gated && air <= trip - resume_margin {
-                    next.gated = false;
-                    action = Some("ungate");
+                next.gated = dtm::trip(state.gated, air, self.envelope, guard, resume_margin);
+                if next.gated != state.gated {
+                    action = Some(if next.gated { "gate" } else { "ungate" });
                 }
             }
         }
         CtlProposal { next, action, rpm }
     }
 
-    /// Phase 2: installs drive `i`'s proposed hysteresis state. The
-    /// fleet calls this in enclosure order — a cheap deterministic
-    /// reduce over what the shards proposed.
-    pub(crate) fn commit_one(&mut self, i: usize, proposal: CtlProposal) {
-        self.states[i] = proposal.next;
-    }
-
-    /// Phase 2 over the whole fleet: installs one proposal per drive in
-    /// enclosure order.
+    /// Phase 2: installs one proposal per drive in enclosure order — a
+    /// cheap deterministic reduce over what the shards proposed.
     ///
     /// # Panics
     ///
     /// Panics if `proposals` does not carry one entry per drive.
     pub(crate) fn commit_all(&mut self, proposals: &[CtlProposal]) {
         assert_eq!(proposals.len(), self.states.len(), "one proposal per drive");
-        for (i, &p) in proposals.iter().enumerate() {
-            self.commit_one(i, p);
+        for (state, p) in self.states.iter_mut().zip(proposals) {
+            *state = p.next;
         }
     }
 }
@@ -285,6 +232,20 @@ impl CtlProposal {
 mod tests {
     use super::*;
 
+    /// One control pass as the fleet runs it: every drive proposes
+    /// against its epoch-start state, speed changes actuate, and the
+    /// proposals commit.
+    fn pass(c: &mut Coordinator, airs: &[Celsius], mut set_rpm: impl FnMut(usize, Rpm)) {
+        let proposals: Vec<CtlProposal> =
+            airs.iter().enumerate().map(|(i, &air)| c.propose(i, air)).collect();
+        for (i, p) in proposals.iter().enumerate() {
+            if let Some(rpm) = p.rpm {
+                set_rpm(i, rpm);
+            }
+        }
+        c.commit_all(&proposals);
+    }
+
     #[test]
     fn speed_scale_downshifts_only_the_hot_drive_and_recovers() {
         let mut rpms = vec![Rpm::new(0.0); 3];
@@ -302,18 +263,18 @@ mod tests {
         assert_eq!(rpms, vec![Rpm::new(20_000.0); 3]);
 
         let hot = [Celsius::new(40.0), Celsius::new(44.8), Celsius::new(40.0)];
-        c.apply(&hot, |i, rpm| rpms[i] = rpm);
+        pass(&mut c, &hot, |i, rpm| rpms[i] = rpm);
         assert_eq!(rpms[0], Rpm::new(20_000.0));
         assert_eq!(rpms[1], Rpm::new(12_000.0));
-        assert!(c.scaled_down(1) && c.engaged() == 1);
+        assert!(c.states[1].scaled_down && c.engaged() == 1);
 
         // Hysteresis: just below the trip point is not enough to resume.
         let warm = [Celsius::new(40.0), Celsius::new(44.2), Celsius::new(40.0)];
-        c.apply(&warm, |i, rpm| rpms[i] = rpm);
+        pass(&mut c, &warm, |i, rpm| rpms[i] = rpm);
         assert_eq!(rpms[1], Rpm::new(12_000.0));
 
         let cool = [Celsius::new(40.0), Celsius::new(43.5), Celsius::new(40.0)];
-        c.apply(&cool, |i, rpm| rpms[i] = rpm);
+        pass(&mut c, &cool, |i, rpm| rpms[i] = rpm);
         assert_eq!(rpms[1], Rpm::new(20_000.0));
         assert_eq!(c.engaged(), 0);
     }
@@ -329,11 +290,11 @@ mod tests {
             2,
         );
         let no_rpm = |_: usize, _: Rpm| panic!("throttling never touches the spindle");
-        c.apply(&[Celsius::new(44.9), Celsius::new(40.0)], no_rpm);
+        pass(&mut c, &[Celsius::new(44.9), Celsius::new(40.0)], no_rpm);
         assert!(c.gated(0) && !c.gated(1));
-        c.apply(&[Celsius::new(44.6), Celsius::new(40.0)], no_rpm);
+        pass(&mut c, &[Celsius::new(44.6), Celsius::new(40.0)], no_rpm);
         assert!(c.gated(0), "inside the hysteresis band the gate holds");
-        c.apply(&[Celsius::new(44.4), Celsius::new(40.0)], no_rpm);
+        pass(&mut c, &[Celsius::new(44.4), Celsius::new(40.0)], no_rpm);
         assert!(!c.gated(0));
     }
 
@@ -342,7 +303,7 @@ mod tests {
         let mut c = Coordinator::new(FleetDtmPolicy::None, Celsius::new(45.0), 2);
         let no_rpm = |_: usize, _: Rpm| panic!("no-control never actuates");
         c.prime(no_rpm);
-        c.apply(&[Celsius::new(60.0), Celsius::new(60.0)], no_rpm);
+        pass(&mut c, &[Celsius::new(60.0), Celsius::new(60.0)], no_rpm);
         assert_eq!(c.engaged(), 0);
     }
 }

@@ -10,10 +10,12 @@
 //!   condition generalized to rack scale;
 //! - pluggable **request routing** ([`RoutingPolicy`]): round-robin,
 //!   least-queue, and thermal-aware placement weighted by thermal slack
-//!   — `dtm::mirror`'s two-drive read steering generalized to N drives;
-//! - a fleet-level **DTM coordinator** ([`Coordinator`]) applying
+//!   — the §5.4 idea of steering reads away from a hot drive, across N
+//!   drives;
+//! - a fleet-level **DTM coordinator** ([`FleetDtmPolicy`]) applying
 //!   per-drive RPM ramp (§5.2) or admission-throttle (§5.3) decisions
-//!   under one shared envelope;
+//!   under one shared envelope, through the trip rule `dtm::trip` that
+//!   the single-drive controller uses too;
 //! - a **sharded deterministic event loop** ([`Fleet::run`]) advancing
 //!   enclosures in parallel between thermal-coupling sync epochs,
 //!   byte-identical at any thread count.
@@ -53,7 +55,7 @@ mod hall;
 mod routing;
 
 pub use airflow::AirflowGraph;
-pub use coordinator::{Coordinator, CoordinatorState, FleetDtmPolicy};
+pub use coordinator::FleetDtmPolicy;
 pub use error::FleetError;
 pub use hall::HallSpec;
 pub use fleet::{

@@ -1,7 +1,7 @@
 //! Request-routing policies over the fleet.
 //!
-//! `dtm::mirror` steers a *read stream* between two drives by switching
-//! the active member when it nears the envelope; these policies
+//! §5.4 suggests sending a mirrored pair's reads to one member and
+//! switching to the other while the first cools down; these policies
 //! generalize that to per-request placement across N drives. Routing
 //! runs serially at sync-epoch boundaries from an epoch-start snapshot,
 //! so the choice is deterministic regardless of how many threads advance

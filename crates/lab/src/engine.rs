@@ -1,25 +1,19 @@
-//! The parallel experiment engine: a work-stealing scheduler over
-//! `std::thread`, a content-addressed result cache, and the run
-//! manifest.
+//! The parallel experiment engine: experiments fan out over the
+//! work-stealing [`parallel_map`], with a content-addressed result
+//! cache and the run manifest.
 //!
-//! The scheduler primitive itself ([`parallel_map`] and friends) lives
-//! in `disksim::par` so the fleet simulator can shard its event loop
-//! through the same discipline; this module re-exports it under its
-//! historical `disklab::engine` path.
+//! The pool itself lives in `disksim::par`; this module re-exports it
+//! under its historical `disklab::engine` path.
 
 use crate::error::LabError;
 use crate::experiment::{Experiment, RunOutput};
 use crate::manifest::{Manifest, ManifestEntry};
 use serde_json::{Map, Value};
-use std::collections::VecDeque;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
-use std::sync::Mutex;
-use std::thread;
 use std::time::Instant;
 
-pub use disksim::par::{default_parallelism, next_job, parallel_map};
+pub use disksim::par::{default_parallelism, parallel_map};
 
 /// Where results land and how the run is executed.
 pub struct Engine {
@@ -86,45 +80,8 @@ impl Engine {
         let started = Instant::now();
 
         let workers = self.threads.clamp(1, experiments.len().max(1));
-        // One deque per worker; idle workers steal from the back of
-        // their peers' deques.
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for i in 0..experiments.len() {
-            queues[i % workers].lock().expect("queue lock").push_back(i);
-        }
-
-        let (tx, rx) = mpsc::channel();
-        let experiments = &experiments;
-        let queues = &queues;
-        thread::scope(|scope| {
-            for worker in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    while let Some(i) = next_job(queues, worker) {
-                        let outcome = self.execute(experiments[i].as_ref());
-                        if tx.send((i, outcome)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        drop(tx);
-
-        let mut slots: Vec<Option<Result<(ManifestEntry, String), LabError>>> =
-            (0..experiments.len()).map(|_| None).collect();
-        for (i, outcome) in rx {
-            slots[i] = Some(outcome);
-        }
-
-        let mut completed = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            let name = experiments[i].name();
-            let outcome =
-                slot.ok_or_else(|| LabError::Experiment(format!("{name}: worker vanished")))?;
-            completed.push(outcome?);
-        }
+        let outcomes = parallel_map(experiments, workers, |exp| self.execute(exp.as_ref()));
+        let mut completed = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
         completed.sort_by(|(a, _), (b, _)| a.name.cmp(&b.name));
 
         let (entries, reports): (Vec<ManifestEntry>, Vec<String>) = completed.into_iter().unzip();

@@ -30,7 +30,7 @@ use diskthermal::{DriveThermalSpec, THERMAL_ENVELOPE};
 use serde::Serialize;
 use std::cell::RefCell;
 use units::{Celsius, Inches, Rpm, TempDelta};
-use workloads::{TraceGenerator, WorkloadPreset};
+use workloads::TraceGenerator;
 
 /// Knob names, in axis order. `dtm` is a two-level factor (0 = none,
 /// 1 = the §5.2 speed-scaling coordinator); the others are numeric.
@@ -242,7 +242,7 @@ impl SweepSpec {
         // points, and a serial fleet keeps the point's cost minimal.
         config.threads = 1;
 
-        let preset = preset_by_name(&self.preset)
+        let preset = workloads::preset_by_key(&self.preset)
             .ok_or_else(|| fail(&format!("unknown workload preset {:?}", self.preset)))?;
         let capacity = StorageSystem::new(SystemConfig::single_disk(spec))
             .map_err(|e| fail(&e))?
@@ -363,21 +363,9 @@ pub fn engagement_rate(report: &FleetReport) -> f64 {
     actuated / total
 }
 
-/// The sweepable workload presets, keyed by slug (the display names in
-/// `workloads::presets` carry spaces and punctuation).
+/// The sweepable workload presets, by their `workloads::preset_by_key`
+/// keys.
 pub const PRESET_SLUGS: [&str; 5] = ["openmail", "oltp", "search_engine", "tpcc", "tpch"];
-
-/// Looks up a workload preset by slug.
-pub fn preset_by_name(name: &str) -> Option<WorkloadPreset> {
-    match name {
-        "openmail" => Some(workloads::openmail()),
-        "oltp" => Some(workloads::oltp()),
-        "search_engine" => Some(workloads::search_engine()),
-        "tpcc" => Some(workloads::tpcc()),
-        "tpch" => Some(workloads::tpch()),
-        _ => None,
-    }
-}
 
 #[cfg(test)]
 mod tests {

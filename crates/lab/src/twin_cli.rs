@@ -53,16 +53,12 @@ pub fn run_twin(args: &[String]) -> i32 {
 
 /// Resolves a workload preset by its short CLI name.
 fn workload_by_key(key: &str) -> Result<workloads::WorkloadPreset, String> {
-    match key.to_ascii_lowercase().as_str() {
-        "openmail" => Ok(workloads::openmail()),
-        "oltp" => Ok(workloads::oltp()),
-        "search" | "search_engine" => Ok(workloads::search_engine()),
-        "tpcc" => Ok(workloads::tpcc()),
-        "tpch" => Ok(workloads::tpch()),
-        other => Err(format!(
-            "unknown workload {other:?} (have: openmail, oltp, search, tpcc, tpch)"
-        )),
-    }
+    workloads::preset_by_key(key).ok_or_else(|| {
+        format!(
+            "unknown workload {:?} (have: openmail, oltp, search, tpcc, tpch)",
+            key.to_ascii_lowercase()
+        )
+    })
 }
 
 /// Parses the value that follows `flag`, naming the flag in the error.

@@ -1,6 +1,7 @@
-//! Epoch-stepping scenario driver: the loop the lab experiments (and
-//! the parity tests) share — apply the schedule, draw arrivals up to
-//! the boundary, step the fleet, sample.
+//! Epoch-stepping scenario driver. [`advance_epoch`] is the one epoch
+//! step every stepped fleet shares — apply the schedule, draw arrivals
+//! up to the boundary, step the fleet — and [`run_scenario`] is the
+//! loop the lab experiments run over it, sampling after each epoch.
 
 use crate::scenario::ScenarioEngine;
 use crate::source::ArrivalSource;
@@ -54,11 +55,50 @@ impl EpochSample {
     }
 }
 
+/// Advances `fleet` exactly one sync epoch: applies `engine`'s
+/// injections due at this boundary (when a schedule is installed),
+/// draws from `source` until the first arrival past the epoch's end —
+/// offering every earlier one to the fleet and holding that one in
+/// `lookahead` for the next epoch — then steps the fleet's epoch loop.
+///
+/// Both [`run_scenario`] and the `disktwin` twin step through here, so
+/// a fleet and a twin driven from identical sources and schedules
+/// produce identical event streams, and a stream is consumed exactly
+/// once however the caller splits its epochs.
+///
+/// # Errors
+///
+/// Propagates injection failures ([`FleetError`]) from the schedule.
+pub fn advance_epoch(
+    fleet: &mut Fleet,
+    source: &mut ArrivalSource,
+    engine: Option<&mut ScenarioEngine>,
+    lookahead: &mut Option<Request>,
+    sink: &mut diskobs::Sink,
+    profile: &mut FleetPhaseProfile,
+) -> Result<(), FleetError> {
+    if let Some(engine) = engine {
+        engine.apply_epoch(fleet, source)?;
+    }
+    let epoch_end = fleet.now() + fleet.epoch_len();
+    loop {
+        let r = match lookahead.take() {
+            Some(r) => r,
+            None => source.next_request(),
+        };
+        if r.arrival > epoch_end {
+            *lookahead = Some(r);
+            break;
+        }
+        fleet.offer(std::iter::once(r));
+    }
+    fleet.step_epoch(sink, profile);
+    Ok(())
+}
+
 /// Runs `epochs` sync epochs of `fleet` under `engine`'s schedule, fed
-/// by `source`, pushing one [`EpochSample`] per epoch. The arrival draw
-/// matches the twin's epoch loop exactly (draw until the first arrival
-/// past the boundary, hold it as lookahead), so a fleet and a twin
-/// driven from identical sources produce identical event streams.
+/// by `source`, pushing one [`EpochSample`] per epoch. Each epoch is
+/// one [`advance_epoch`].
 ///
 /// # Errors
 ///
@@ -78,20 +118,7 @@ pub fn run_scenario(
     let mut lookahead: Option<Request> = None;
     let mut last_total = 0;
     for _ in 0..epochs {
-        engine.apply_epoch(fleet, source)?;
-        let epoch_end = fleet.now() + fleet.epoch_len();
-        loop {
-            let r = match lookahead.take() {
-                Some(r) => r,
-                None => source.next_request(),
-            };
-            if r.arrival > epoch_end {
-                lookahead = Some(r);
-                break;
-            }
-            fleet.offer(std::iter::once(r));
-        }
-        fleet.step_epoch(sink, &mut profile);
+        advance_epoch(fleet, source, Some(engine), &mut lookahead, sink, &mut profile)?;
         let (mut done, mut total) = (0, 0);
         for rb in fleet.rebuilds() {
             done += rb.done();

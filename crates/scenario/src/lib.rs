@@ -21,8 +21,13 @@
 //!   streams and recorded-trace replay ([`ReplaySource`], fed by the
 //!   MSR-Cambridge / DiskSim-ASCII / JSON readers in `workloads`), so
 //!   the fleet and the twin consume real traces identically;
-//! - [`run_scenario`] — the shared epoch-stepping loop producing
-//!   per-epoch [`EpochSample`] rows for the lab experiments.
+//! - [`advance_epoch`] — the one epoch step: apply the schedule, draw
+//!   arrivals up to the boundary (holding the first one past it as
+//!   lookahead), offer them, step the fleet. The twin advances through
+//!   it too, so batch runs and the twin replay identically by
+//!   construction;
+//! - [`run_scenario`] — the epoch loop over [`advance_epoch`],
+//!   producing per-epoch [`EpochSample`] rows for the lab experiments.
 //!
 //! # Examples
 //!
@@ -75,6 +80,6 @@ mod driver;
 mod scenario;
 mod source;
 
-pub use driver::{run_scenario, EpochSample};
+pub use driver::{advance_epoch, run_scenario, EpochSample};
 pub use scenario::{CoolingScope, Injection, Scenario, ScenarioEngine};
 pub use source::{ArrivalSource, ArrivalSourceState, ReplaySource};

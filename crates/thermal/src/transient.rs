@@ -90,8 +90,7 @@ impl StepFactors {
 
 /// Most-recently-used cache of step factorizations. Eight entries cover
 /// the worst realistic churn — the DTM throttle loop alternates two
-/// operating points, the mirror policy four — while keeping the miss
-/// scan trivial.
+/// operating points — while keeping the miss scan trivial.
 const STEP_CACHE_CAP: usize = 8;
 
 #[derive(Debug, Clone, Default)]

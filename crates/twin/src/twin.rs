@@ -183,11 +183,12 @@ impl Twin {
         self.scenario.as_ref()
     }
 
-    /// Advances the twin exactly one sync epoch: applies any scenario
-    /// injections due at this boundary, draws every arrival up to the
-    /// next epoch boundary from the arrival source, offers them to the
-    /// fleet, and steps the fleet's epoch loop (routing, the parallel
-    /// window sweep, airflow coupling, coordination).
+    /// Advances the twin exactly one sync epoch through
+    /// [`diskscenario::advance_epoch`]: applies any scenario injections
+    /// due at this boundary, draws every arrival up to the next epoch
+    /// boundary from the arrival source, offers them to the fleet, and
+    /// steps the fleet's epoch loop (routing, the parallel window
+    /// sweep, airflow coupling, coordination).
     ///
     /// # Errors
     ///
@@ -211,22 +212,14 @@ impl Twin {
         } else {
             self.fleet.disable_drive_sinks();
         }
-        if let Some(engine) = &mut self.scenario {
-            engine.apply_epoch(&mut self.fleet, &mut self.source)?;
-        }
-        let epoch_end = self.fleet.now() + self.fleet.epoch_len();
-        loop {
-            let r = match self.lookahead.take() {
-                Some(r) => r,
-                None => self.source.next_request(),
-            };
-            if r.arrival > epoch_end {
-                self.lookahead = Some(r);
-                break;
-            }
-            self.fleet.offer(std::iter::once(r));
-        }
-        self.fleet.step_epoch(sink, &mut self.profile);
+        diskscenario::advance_epoch(
+            &mut self.fleet,
+            &mut self.source,
+            self.scenario.as_mut(),
+            &mut self.lookahead,
+            sink,
+            &mut self.profile,
+        )?;
         Ok(())
     }
 

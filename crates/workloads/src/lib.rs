@@ -40,5 +40,7 @@ pub use ascii::{read_ascii_trace, write_ascii_trace};
 pub use msr::{read_msr_trace, write_msr_trace};
 pub use arrival::{ArrivalModel, ArrivalStream, ArrivalStreamState};
 pub use generator::{TraceGenerator, TraceStream, TraceStreamState};
-pub use presets::{openmail, oltp, presets, search_engine, tpcc, tpch, WorkloadPreset};
+pub use presets::{
+    openmail, oltp, preset_by_key, presets, search_engine, tpcc, tpch, WorkloadPreset,
+};
 pub use trace::{read_trace, write_trace};

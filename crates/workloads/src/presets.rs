@@ -269,6 +269,21 @@ pub fn presets() -> Vec<WorkloadPreset> {
     vec![openmail(), oltp(), search_engine(), tpcc(), tpch()]
 }
 
+/// Looks a workload up by its short key, ignoring case: `openmail`,
+/// `oltp`, `search` (or `search_engine`), `tpcc` or `tpch`. The display
+/// names in [`WorkloadPreset::name`] carry spaces and punctuation, so
+/// command lines and sweep specs name presets by these keys instead.
+pub fn preset_by_key(key: &str) -> Option<WorkloadPreset> {
+    match key.to_ascii_lowercase().as_str() {
+        "openmail" => Some(openmail()),
+        "oltp" => Some(oltp()),
+        "search" | "search_engine" => Some(search_engine()),
+        "tpcc" => Some(tpcc()),
+        "tpch" => Some(tpch()),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,6 +306,26 @@ mod tests {
             reqs,
             [3_053_745, 5_334_945, 4_579_809, 6_155_547, 4_228_725]
         );
+    }
+
+    #[test]
+    fn every_key_resolves_case_insensitively() {
+        let keyed = [
+            ("openmail", "HPL Openmail"),
+            ("oltp", "OLTP Application"),
+            ("search", "Search-Engine"),
+            ("search_engine", "Search-Engine"),
+            ("tpcc", "TPC-C"),
+            ("tpch", "TPC-H"),
+            ("TPCC", "TPC-C"),
+            ("Search_Engine", "Search-Engine"),
+        ];
+        for (key, name) in keyed {
+            assert_eq!(preset_by_key(key).map(|p| p.name), Some(name), "{key}");
+        }
+        for key in ["", "tpc-c", "search engine", "factorio"] {
+            assert!(preset_by_key(key).is_none(), "{key:?} must not resolve");
+        }
     }
 
     #[test]

@@ -8,14 +8,11 @@
 use std::io::BufReader;
 use thermodisk::prelude::*;
 use units::Rpm;
-use workloads::{read_trace, write_trace};
+use workloads::{preset_by_key, read_trace, write_trace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let which = std::env::args().nth(1).unwrap_or_else(|| "tpcc".into());
-    let preset = presets()
-        .into_iter()
-        .find(|p| p.name.to_lowercase().contains(&which.to_lowercase()))
-        .unwrap_or_else(|| panic!("unknown workload `{which}`"));
+    let preset = preset_by_key(&which).ok_or_else(|| format!("unknown workload `{which}`"))?;
 
     println!(
         "{}: {} disks{}, base {:.0} RPM",

@@ -22,10 +22,12 @@ cargo test -q -p disklab --test lab_determinism
 echo "==> cargo run --release --bin lab -- table1"
 cargo run --release --bin lab -- table1
 
-echo "==> cargo run --release --bin lab -- run fleet_routing"
-# Full scale, so the regenerated artifact matches the committed
-# results/fleet_routing.json byte for byte.
-cargo run --release --bin lab -- run fleet_routing
+echo "==> cargo run --release --bin lab -- run fleet_routing --no-cache"
+# Full scale and recomputed (a warm results/.cache/ would serve the old
+# bytes), then compared: the regenerated artifact must match the
+# committed results/fleet_routing.{json,txt} byte for byte.
+cargo run --release --bin lab -- run fleet_routing --no-cache
+git diff --exit-code -- results/fleet_routing.json results/fleet_routing.txt
 
 echo "==> cargo test -q -p disklab --test lab_determinism trace_bytes"
 # Trace determinism: the instrumented event stream must be
