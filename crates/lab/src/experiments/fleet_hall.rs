@@ -106,7 +106,7 @@ fn outcome(report: &FleetReport) -> HallOutcome {
         peak_local_ambient: report.peak_local_ambient.get(),
         time_over_envelope_s: report.time_over_envelope.get(),
         mean_response_ms: report.stats.mean().to_millis(),
-        p95_response_ms: report.stats.percentile(0.95).to_millis(),
+        p95_response_ms: report.stats.percentile(95.0).to_millis(),
         epochs: report.epochs,
         rows_detail,
     }
@@ -320,6 +320,11 @@ mod tests {
             .as_f64()
             .unwrap();
         assert!(dtm <= free, "speed scaling must never heat the hall");
+        let ms = |k: &str| field(&free_hall, k).as_f64().unwrap();
+        assert!(
+            ms("p95_response_ms") >= ms("mean_response_ms"),
+            "p95 is a tail, not a near-fastest response"
+        );
         let over = |v: &Value| field(v, "time_over_envelope_s").as_f64().unwrap();
         assert!(
             over(&field(payload, "speed_scaled")) <= over(&free_hall),

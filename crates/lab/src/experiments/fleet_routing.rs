@@ -54,7 +54,7 @@ fn outcome(report: &FleetReport) -> PolicyOutcome {
         peak_local_ambient: report.peak_local_ambient.get(),
         time_over_envelope_s: report.time_over_envelope.get(),
         mean_response_ms: report.stats.mean().to_millis(),
-        p95_response_ms: report.stats.percentile(0.95).to_millis(),
+        p95_response_ms: report.stats.percentile(95.0).to_millis(),
     }
 }
 
@@ -227,6 +227,12 @@ mod tests {
             assert!(
                 saved > 0.0,
                 "{name}: thermal-aware must run cooler, saved {saved}"
+            );
+            let rr = row.get("round_robin").expect("round-robin outcome");
+            let ms = |k: &str| rr.get(k).and_then(Value::as_f64).unwrap();
+            assert!(
+                ms("p95_response_ms") >= ms("mean_response_ms"),
+                "{name}: p95 is a tail, not a near-fastest response"
             );
         }
     }

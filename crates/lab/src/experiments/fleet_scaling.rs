@@ -56,7 +56,7 @@ fn outcome(report: &FleetReport) -> PolicyOutcome {
             .map(|e| e.time_scaled.get())
             .sum(),
         mean_response_ms: report.stats.mean().to_millis(),
-        p95_response_ms: report.stats.percentile(0.95).to_millis(),
+        p95_response_ms: report.stats.percentile(95.0).to_millis(),
     }
 }
 
@@ -252,6 +252,12 @@ mod tests {
             assert!(
                 peak(row, "speed_scaled") <= peak(row, "uncontrolled"),
                 "speed scaling must never heat the rack"
+            );
+            let free = row.get("uncontrolled").expect("uncontrolled outcome");
+            let ms = |k: &str| free.get(k).and_then(Value::as_f64).unwrap();
+            assert!(
+                ms("p95_response_ms") >= ms("mean_response_ms"),
+                "p95 is a tail, not a near-fastest response"
             );
         }
     }

@@ -154,7 +154,7 @@ impl ScenarioCooling {
             epochs_engaged: samples.iter().filter(|s| s.engaged > 0).count() as u64,
             completed: report.stats.count(),
             mean_response_ms: report.stats.mean().to_millis(),
-            p95_response_ms: report.stats.percentile(0.95).to_millis(),
+            p95_response_ms: report.stats.percentile(95.0).to_millis(),
         };
         Ok((samples, outcome))
     }
@@ -289,6 +289,11 @@ mod tests {
             .as_u64()
             .unwrap();
         assert!(engaged > 0, "the coordinator actually engaged");
+        let ms = |k: &str| field(&field(payload, "uncontrolled"), k).as_f64().unwrap();
+        assert!(
+            ms("p95_response_ms") >= ms("mean_response_ms"),
+            "p95 is a tail, not a near-fastest response"
+        );
         assert_eq!(out.files.len(), 2, "both timeseries are attached");
         for (name, csv) in &out.files {
             assert!(csv.starts_with("epoch,"), "{name} has its header");

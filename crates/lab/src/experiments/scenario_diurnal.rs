@@ -253,7 +253,7 @@ impl Experiment for ScenarioDiurnal {
             fleet_report.time_over_envelope.get(),
             fleet_report.stats.count(),
             fleet_report.stats.mean().to_millis(),
-            fleet_report.stats.percentile(0.95).to_millis()
+            fleet_report.stats.percentile(95.0).to_millis()
         );
 
         let payload = DiurnalPayload {
@@ -261,7 +261,7 @@ impl Experiment for ScenarioDiurnal {
             epochs: self.epochs,
             completed: fleet_report.stats.count(),
             mean_response_ms: fleet_report.stats.mean().to_millis(),
-            p95_response_ms: fleet_report.stats.percentile(0.95).to_millis(),
+            p95_response_ms: fleet_report.stats.percentile(95.0).to_millis(),
             peak_air_c: fleet_report.max_air.get(),
             time_over_envelope_s: fleet_report.time_over_envelope.get(),
             trough: trough_out,
@@ -304,6 +304,11 @@ mod tests {
             "flash-crowd heat shows up in the hall ({} vs {})",
             peak("flash"),
             peak("trough")
+        );
+        let ms = |k: &str| field(payload, k).as_f64().unwrap();
+        assert!(
+            ms("p95_response_ms") >= ms("mean_response_ms"),
+            "p95 is a tail, not a near-fastest response"
         );
         let (_, csv) = &out.files[0];
         assert_eq!(csv.lines().count() as u64, 16 + 1);

@@ -160,7 +160,7 @@ impl ScenarioRebuild {
             rebuilt_fraction,
             completed: report.stats.count(),
             mean_response_ms: report.stats.mean().to_millis(),
-            p95_response_ms: report.stats.percentile(0.95).to_millis(),
+            p95_response_ms: report.stats.percentile(95.0).to_millis(),
             peak_air_c: report.max_air.get(),
             time_over_envelope_s: report.time_over_envelope.get(),
         };
@@ -297,6 +297,13 @@ mod tests {
             .as_f64()
             .unwrap();
         let storm_mean = field(&storms[1], "mean_response_ms").as_f64().unwrap();
+        let baseline_p95 = field(&field(payload, "baseline"), "p95_response_ms")
+            .as_f64()
+            .unwrap();
+        assert!(
+            baseline_p95 >= baseline_mean,
+            "p95 is a tail, not a near-fastest response"
+        );
         assert!(
             storm_mean > baseline_mean,
             "degraded service plus rebuild I/O must cost foreground latency \
