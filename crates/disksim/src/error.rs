@@ -1,5 +1,7 @@
 //! Simulator error type.
 
+use units::Seconds;
+
 /// Errors raised when assembling or driving a storage system.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -31,6 +33,14 @@ pub enum SimError {
         /// The member that is already marked failed.
         device: u32,
     },
+    /// A run reached 24 hours of sim time with work still pending — a
+    /// DTM policy that gates admission forever never drains.
+    SimTimeCap {
+        /// Sim time when the run stopped.
+        at: Seconds,
+        /// Requests still awaiting admission or in flight.
+        pending: u64,
+    },
 }
 
 impl core::fmt::Display for SimError {
@@ -53,6 +63,10 @@ impl core::fmt::Display for SimError {
             Self::AlreadyDegraded { device } => {
                 write!(f, "array already degraded: member {device} is failed")
             }
+            Self::SimTimeCap { at, pending } => write!(
+                f,
+                "run stopped at the 24 h sim-time cap ({at}) with {pending} request(s) pending"
+            ),
         }
     }
 }

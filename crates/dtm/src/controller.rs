@@ -165,7 +165,9 @@ impl DtmController {
     /// # Errors
     ///
     /// Propagates submission errors (bad devices or ranges in the
-    /// trace).
+    /// trace); [`SimError::SimTimeCap`] when 24 hours of sim time pass
+    /// with requests still pending (a policy that never releases its
+    /// gate).
     pub fn run(self, trace: Vec<Request>) -> Result<DtmReport, SimError> {
         let mut sink = diskobs::Sink::null();
         self.run_with_sink(trace, &mut sink)
@@ -180,8 +182,7 @@ impl DtmController {
     ///
     /// # Errors
     ///
-    /// Propagates submission errors (bad devices or ranges in the
-    /// trace).
+    /// As [`Self::run`].
     pub fn run_with_sink(
         mut self,
         trace: Vec<Request>,
@@ -360,10 +361,13 @@ impl DtmController {
             if pending.is_empty() && self.drive.in_flight() == 0 {
                 break;
             }
-            // Safety cap: a trace gated forever (policy too strict)
-            // still terminates.
+            // A trace gated forever (policy too strict) would never
+            // drain.
             if now.get() > 24.0 * 3600.0 {
-                break;
+                return Err(SimError::SimTimeCap {
+                    at: now,
+                    pending: pending.len() as u64 + self.drive.in_flight(),
+                });
             }
         }
 
@@ -429,6 +433,36 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn a_gate_that_never_opens_is_an_error() {
+        // An envelope below the idle temperature trips the throttle in
+        // the first window and never releases it. The arrivals come
+        // after that window, which admits before anything is sensed.
+        let (system, model) = hot_setup(15_020.0);
+        let trace: Vec<Request> = heavy_trace(12, 10.0, system.logical_sectors())
+            .into_iter()
+            .map(|mut r| {
+                r.arrival += Seconds::new(1.0);
+                r
+            })
+            .collect();
+        let policy = DtmPolicy::Throttle {
+            mechanism: ThrottlePolicy::VcmOnly {
+                rpm: Rpm::new(15_020.0),
+            },
+            guard: TempDelta::new(0.1),
+            resume_margin: TempDelta::new(0.2),
+        };
+        let err = DtmController::new(system, model, policy, Celsius::new(20.0))
+            .run(trace)
+            .unwrap_err();
+        let SimError::SimTimeCap { at, pending } = err else {
+            panic!("expected the sim-time cap, got {err}");
+        };
+        assert!(at.get() > 24.0 * 3600.0, "stopped early at {at}");
+        assert_eq!(pending, 12);
     }
 
     #[test]

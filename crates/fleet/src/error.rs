@@ -2,6 +2,7 @@
 
 use disksim::SimError;
 use std::fmt;
+use units::Seconds;
 
 /// Everything that can go wrong assembling or running a fleet.
 #[derive(Debug)]
@@ -21,6 +22,15 @@ pub enum FleetError {
         /// Enclosures in the fleet.
         fleet: usize,
     },
+    /// A run reached 24 hours of sim time with work still pending — a
+    /// DTM policy that gates every drive forever never drains.
+    SimTimeCap {
+        /// Sim time when the run stopped.
+        at: Seconds,
+        /// Requests still queued for routing, awaiting admission or in
+        /// flight.
+        pending: u64,
+    },
 }
 
 impl fmt::Display for FleetError {
@@ -31,6 +41,10 @@ impl fmt::Display for FleetError {
             FleetError::NoSuchEnclosure { enclosure, fleet } => {
                 write!(f, "enclosure {enclosure} requested but the fleet has {fleet}")
             }
+            FleetError::SimTimeCap { at, pending } => write!(
+                f,
+                "run stopped at the 24 h sim-time cap ({at}) with {pending} request(s) pending"
+            ),
         }
     }
 }

@@ -866,9 +866,10 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Currently infallible after construction (remapping keeps every
-    /// submission in range); the `Result` reserves room for trace
-    /// validation.
+    /// [`FleetError::SimTimeCap`] when 24 hours of sim time pass with
+    /// requests still pending (a DTM policy that never releases a gated
+    /// drive). Remapping keeps every submission in range, so nothing
+    /// else fails after construction.
     pub fn run(self, trace: Vec<Request>) -> Result<FleetReport, FleetError> {
         let mut sink = diskobs::Sink::null();
         self.run_with_sink(trace, &mut sink)
@@ -937,9 +938,18 @@ impl Fleet {
             if self.is_drained() {
                 break;
             }
-            // Safety cap: a fleet gated forever still terminates.
+            // A fleet gated forever would never drain.
             if self.now.get() > 24.0 * 3600.0 {
-                break;
+                let pending = self.incoming.len() as u64
+                    + self
+                        .enclosures
+                        .iter()
+                        .map(|e| e.pending.len() as u64 + e.drive.in_flight())
+                        .sum::<u64>();
+                return Err(FleetError::SimTimeCap {
+                    at: self.now,
+                    pending,
+                });
             }
         }
 
@@ -1576,6 +1586,30 @@ mod tests {
         assert_eq!(report.per_enclosure.iter().map(|e| e.completed).sum::<u64>(), 1_000);
         assert_eq!(report.per_enclosure.iter().map(|e| e.routed).sum::<u64>(), 1_000);
         assert!(report.total_time.get() > 0.0);
+    }
+
+    #[test]
+    fn a_fleet_gated_forever_is_an_error() {
+        // An envelope below the idle temperature gates every drive at
+        // the first epoch boundary and never reopens it; 10-minute
+        // windows reach the 24-hour cap in 37 epochs. Request 0 arrives
+        // in the first epoch, before anything is gated, and completes.
+        let mut cfg = config(1, 15_020.0, 12.0);
+        cfg.envelope = Celsius::new(20.0);
+        cfg.dtm = FleetDtmPolicy::Throttle {
+            guard: TempDelta::new(0.3),
+            resume_margin: TempDelta::new(0.3),
+        };
+        cfg.window = Seconds::new(600.0);
+        let err = Fleet::new(cfg)
+            .unwrap()
+            .run(trace(6, 1.0 / 3_000.0))
+            .unwrap_err();
+        let FleetError::SimTimeCap { at, pending } = err else {
+            panic!("expected the sim-time cap, got {err}");
+        };
+        assert!(at.get() > 24.0 * 3600.0, "stopped early at {at}");
+        assert_eq!(pending, 5);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::params::ThermalParams;
 use crate::sources::viscous_dissipation;
 use crate::spec::{DriveThermalSpec, FormFactor, OperatingPoint};
 use serde::{Deserialize, Serialize};
-use units::{Celsius, HeatCapacity, Power, ThermalConductance};
+use units::{Celsius, HeatCapacity, Power, Rpm, ThermalConductance};
 
 /// Number of thermal nodes.
 pub(crate) const NODES: usize = 4;
@@ -164,6 +164,24 @@ impl Conductances {
     }
 }
 
+/// The heat sources of the network that a spindle speed fixes, in
+/// watts (and the base's coupling to ambient, in W/K): everything in
+/// the source vector `b` except the ambient temperature and the VCM
+/// power, which [`ThermalModel::source`] applies.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SpeedSources {
+    /// Base ↔ ambient conductance, the ambient's weight in `b[BASE]`.
+    base_ambient: f64,
+    /// Windage deposited in the recirculating air core.
+    windage_air: f64,
+    /// Windage shed on the case walls, heating the base.
+    windage_base: f64,
+    /// Spindle-motor loss plus bearing drag, deposited in the base.
+    motor_bearing: f64,
+    /// Share of the VCM power shed straight into the air.
+    vcm_direct: f64,
+}
+
 /// The assembled thermal model of one drive.
 ///
 /// # Examples
@@ -291,10 +309,22 @@ impl ThermalModel {
     /// Assembles the conductance matrix `A` and source vector `b` such
     /// that the steady state satisfies `A T = b`, on the stack.
     pub(crate) fn assemble(&self, op: OperatingPoint) -> ([[f64; NODES]; NODES], [f64; NODES]) {
+        let (a, sources) = self.network(op.rpm());
+        (a, self.source(&sources, op))
+    }
+
+    /// The half of the assembly a spindle speed fixes: the conductance
+    /// matrix `A` at `rpm` and the speed-dependent heat sources that
+    /// [`Self::source`] completes into `b`. Nothing here depends on the
+    /// ambient or the VCM power, so every operating point at one speed
+    /// shares one `A` — and one backward-Euler step matrix.
+    pub(crate) fn network(&self, rpm: Rpm) -> ([[f64; NODES]; NODES], SpeedSources) {
+        // The conductances and every source but the actuator's depend
+        // on the operating point through its speed alone.
+        let op = OperatingPoint::idle_vcm(rpm);
         let g = self.conductances(op);
         let p = self.power_breakdown(op);
         let mut a = [[0.0; NODES]; NODES];
-        let mut b = [0.0; NODES];
 
         let mut couple = |i: usize, j: usize, g: ThermalConductance| {
             let g = g.get();
@@ -312,26 +342,42 @@ impl ThermalModel {
         // Base couples to the fixed ambient: appears on the diagonal and
         // as a source term.
         a[BASE][BASE] += g.base_ambient.get();
-        b[BASE] += g.base_ambient.get() * self.spec.ambient().get();
 
         // Windage dissipates partly in the recirculating air core and
         // partly in the boundary layer on the stationary case walls.
         let visc_air = self.params.visc_air_split / (1.0 + self.params.visc_air_split);
-        b[AIR] += p.viscous.get() * visc_air;
-        b[BASE] += p.viscous.get() * (1.0 - visc_air);
-        // Motor electrical loss and bearing drag dissipate in the stator
-        // windings and bearing cartridge, both pressed into the base
-        // casting; the spindle node itself carries no source — it is the
-        // platter stack's thermal inertia.
-        b[BASE] += p.spm_loss.get() + p.bearing.get();
-        // The moving coil and arms shed part of the seek power straight
-        // into the airstream; the remainder heats the actuator casting
-        // (whose thermal mass sets the slow half of the DTM response).
-        let direct = self.params.vcm_air_split / (1.0 + self.params.vcm_air_split);
-        b[AIR] += p.vcm.get() * direct;
-        b[VCM] += p.vcm.get() * (1.0 - direct);
+        let sources = SpeedSources {
+            base_ambient: g.base_ambient.get(),
+            windage_air: p.viscous.get() * visc_air,
+            windage_base: p.viscous.get() * (1.0 - visc_air),
+            // Motor electrical loss and bearing drag dissipate in the
+            // stator windings and bearing cartridge, both pressed into
+            // the base casting; the spindle node itself carries no
+            // source — it is the platter stack's thermal inertia.
+            motor_bearing: p.spm_loss.get() + p.bearing.get(),
+            // The moving coil and arms shed part of the seek power
+            // straight into the airstream; the remainder heats the
+            // actuator casting (whose thermal mass sets the slow half of
+            // the DTM response).
+            vcm_direct: self.params.vcm_air_split / (1.0 + self.params.vcm_air_split),
+        };
+        (a, sources)
+    }
 
-        (a, b)
+    /// The source vector `b` at this model's ambient and `op`'s actuator
+    /// duty, from the speed-dependent `sources` that [`Self::network`]
+    /// built at `op`'s speed. The only place the ambient and the VCM
+    /// power enter the assembly.
+    pub(crate) fn source(&self, sources: &SpeedSources, op: OperatingPoint) -> [f64; NODES] {
+        let vcm = (self.spec.vcm_power() * op.vcm_duty()).get();
+        let mut b = [0.0; NODES];
+        b[BASE] += sources.base_ambient * self.spec.ambient().get();
+        b[AIR] += sources.windage_air;
+        b[BASE] += sources.windage_base;
+        b[BASE] += sources.motor_bearing;
+        b[AIR] += vcm * sources.vcm_direct;
+        b[VCM] += vcm * (1.0 - sources.vcm_direct);
+        b
     }
 
     /// The full bit pattern of every scalar that feeds the assembly at

@@ -6,21 +6,25 @@
 //! internal air node has a tiny heat capacity, so explicit integration is
 //! only conditionally stable at small steps.
 //!
-//! The implicit step matrix `(C/dt + A)` depends only on the model, the
-//! step size, and the operating point — none of which change inside an
-//! `advance()` over a constant operating point, and all of which cycle
-//! through a handful of values in the DTM controller's window loop. The
-//! simulation therefore keeps a small keyed cache of LU factorizations
-//! ([`StepCache`]): steady operation factors once and back-substitutes
-//! per step instead of re-assembling and re-eliminating the 4×4 system
-//! 600 times a simulated minute.
+//! The implicit step matrix `(C/dt + A)` depends only on the drive's
+//! platter stack and enclosure, its coefficient set, the spindle speed
+//! and the step size. The ambient and the VCM duty enter only the source
+//! vector `b`, so the airflow push-back that moves a bay's ambient every
+//! epoch and the duty that moves every busy control window leave the
+//! matrix alone, and the DTM loops cycle through a handful of speeds.
+//! The simulation therefore keeps a small keyed cache of LU
+//! factorizations ([`StepCache`]): each [`TransientSim::advance`] looks
+//! its factor up once, builds `b` once, and back-substitutes per step
+//! instead of re-assembling and re-eliminating the 4×4 system 600 times
+//! a simulated minute.
 
 use crate::error::ThermalError;
 use crate::linalg::{lu_factor, LuFactors};
-use crate::model::{NodeTemps, ThermalModel, NODES};
-use crate::spec::OperatingPoint;
+use crate::model::{NodeTemps, SpeedSources, ThermalModel, NODES};
+use crate::params::ThermalParams;
+use crate::spec::{FormFactor, OperatingPoint};
 use serde::{Deserialize, Serialize};
-use units::{Celsius, Seconds};
+use units::{Celsius, Inches, Rpm, Seconds};
 
 /// Time-integration scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -37,50 +41,69 @@ pub enum Integrator {
 /// The paper's step size: 600 steps per minute.
 pub(crate) const PAPER_STEP: Seconds = Seconds::new(0.1);
 
-/// One factored backward-Euler step system, tagged with the inputs it
-/// was built from.
+/// Everything the step matrix `C/dt + A` and the speed-dependent
+/// sources are built from. The ambient and the VCM power are not part of
+/// it: they enter only the source vector, which [`ThermalModel::source`]
+/// rebuilds per advance.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct StepKey {
+    diameter: Inches,
+    platters: u32,
+    form_factor: FormFactor,
+    params: ThermalParams,
+    rpm: Rpm,
+    dt: f64,
+}
+
+impl StepKey {
+    fn new(model: &ThermalModel, rpm: Rpm, dt: f64) -> Self {
+        let spec = model.spec();
+        Self {
+            diameter: spec.platter_diameter(),
+            platters: spec.platters(),
+            form_factor: spec.form_factor(),
+            params: *model.params(),
+            rpm,
+            dt,
+        }
+    }
+}
+
+/// One factored backward-Euler step matrix and the speed-dependent
+/// sources, tagged with the key they were built from.
 #[derive(Debug, Clone)]
 struct StepFactors {
-    model: ThermalModel,
-    op: OperatingPoint,
-    dt: f64,
+    key: StepKey,
     lu: LuFactors<NODES>,
-    source: [f64; NODES],
     c_over_dt: [f64; NODES],
+    sources: SpeedSources,
 }
 
 impl StepFactors {
-    /// Assembles and factors `(C/dt + A)` for one (model, op, dt) triple.
-    fn build(model: &ThermalModel, op: OperatingPoint, dt: f64) -> Self {
-        let (a, b) = model.assemble(op);
+    /// Assembles and factors `(C/dt + A)` at the key's speed and step.
+    fn build(model: &ThermalModel, key: StepKey) -> Self {
+        let (a, sources) = model.network(key.rpm);
         let caps = model.capacities();
         let mut lhs = a;
         let mut c_over_dt = [0.0; NODES];
         for i in 0..NODES {
-            let c_dt = caps[i].get() / dt;
+            let c_dt = caps[i].get() / key.dt;
             lhs[i][i] += c_dt;
             c_over_dt[i] = c_dt;
         }
         let lu = lu_factor(lhs).expect("implicit step matrix is SPD");
         Self {
-            model: model.clone(),
-            op,
-            dt,
+            key,
             lu,
-            source: b,
             c_over_dt,
+            sources,
         }
     }
 
-    /// Whether this factorization is valid for the given inputs.
-    fn matches(&self, model: &ThermalModel, op: OperatingPoint, dt: f64) -> bool {
-        self.dt == dt && self.op == op && self.model == *model
-    }
-
-    /// One implicit step from temperatures `t`:
+    /// One implicit step from temperatures `t` with source vector `b`:
     /// `(C/dt + A) T_new = C/dt T_old + b`.
-    fn step(&self, t: [f64; NODES]) -> [f64; NODES] {
-        let mut rhs = self.source;
+    fn step(&self, b: &[f64; NODES], t: [f64; NODES]) -> [f64; NODES] {
+        let mut rhs = *b;
         for i in 0..NODES {
             rhs[i] += self.c_over_dt[i] * t[i];
         }
@@ -88,11 +111,15 @@ impl StepFactors {
     }
 }
 
-/// Most-recently-used cache of step factorizations. Eight entries cover
-/// the worst realistic churn — the DTM throttle loop alternates two
-/// operating points — while keeping the miss scan trivial.
+/// Most-recently-used cache of step factorizations, one per (drive,
+/// speed, step). Eight entries cover the worst realistic churn — a DTM
+/// loop alternates two spindle speeds — while keeping the miss scan
+/// trivial.
 const STEP_CACHE_CAP: usize = 8;
 
+/// The factorizations a simulation has built, keyed by [`StepKey`]:
+/// the ambient and the VCM duty may move between lookups without a
+/// refactor.
 #[derive(Debug, Clone, Default)]
 struct StepCache {
     /// Most recently used at the back.
@@ -101,10 +128,11 @@ struct StepCache {
 }
 
 impl StepCache {
-    /// Returns a factorization for the inputs, reusing a cached one when
-    /// the key matches.
-    fn get(&mut self, model: &ThermalModel, op: OperatingPoint, dt: f64) -> &StepFactors {
-        match self.entries.iter().rposition(|e| e.matches(model, op, dt)) {
+    /// Returns a factorization for the model at `rpm` and step `dt`,
+    /// reusing a cached one when the key matches.
+    fn get(&mut self, model: &ThermalModel, rpm: Rpm, dt: f64) -> &StepFactors {
+        let key = StepKey::new(model, rpm, dt);
+        match self.entries.iter().rposition(|e| e.key == key) {
             Some(pos) => {
                 if pos + 1 != self.entries.len() {
                     let hit = self.entries.remove(pos);
@@ -115,7 +143,7 @@ impl StepCache {
                 if self.entries.len() >= STEP_CACHE_CAP {
                     self.entries.remove(0);
                 }
-                self.entries.push(StepFactors::build(model, op, dt));
+                self.entries.push(StepFactors::build(model, key));
             }
         }
         self.entries.last().expect("entry just ensured")
@@ -219,36 +247,55 @@ impl TransientSim {
     /// Advances exactly one integration step at the given operating
     /// point.
     pub fn step(&mut self, model: &ThermalModel, op: OperatingPoint) {
-        let dt = self.step.get();
-        let t = self.temps.to_array();
-
-        let next = match self.integrator {
-            Integrator::ForwardEuler => {
-                let (a, b) = model.assemble(op);
-                let caps = model.capacities();
-                let mut out = [0.0; NODES];
-                for i in 0..NODES {
-                    // C_i dT/dt = b_i - sum_j A_ij T_j
-                    let flux: f64 = (0..NODES).map(|j| a[i][j] * t[j]).sum();
-                    out[i] = t[i] + dt * (b[i] - flux) / caps[i].get();
-                }
-                out
-            }
-            Integrator::BackwardEuler if self.cache.disabled => {
-                StepFactors::build(model, op, dt).step(t)
-            }
-            Integrator::BackwardEuler => self.cache.get(model, op, dt).step(t),
-        };
-
-        self.temps = NodeTemps::from_array(next);
-        self.time += self.step;
+        self.take_steps(model, op, 1);
     }
 
     /// Advances by (at least) `duration`, in whole steps.
     pub fn advance(&mut self, model: &ThermalModel, op: OperatingPoint, duration: Seconds) {
         let steps = (duration.get() / self.step.get()).ceil() as u64;
+        self.take_steps(model, op, steps);
+    }
+
+    /// Takes `steps` integration steps at one operating point. The
+    /// cached backward-Euler path looks its factor up and builds the
+    /// source vector once for all of them.
+    fn take_steps(&mut self, model: &ThermalModel, op: OperatingPoint, steps: u64) {
+        if steps == 0 {
+            return;
+        }
+        let dt = self.step.get();
+        let mut t = self.temps.to_array();
+        match self.integrator {
+            Integrator::ForwardEuler => {
+                for _ in 0..steps {
+                    let (a, b) = model.assemble(op);
+                    let caps = model.capacities();
+                    let mut out = [0.0; NODES];
+                    for i in 0..NODES {
+                        // C_i dT/dt = b_i - sum_j A_ij T_j
+                        let flux: f64 = (0..NODES).map(|j| a[i][j] * t[j]).sum();
+                        out[i] = t[i] + dt * (b[i] - flux) / caps[i].get();
+                    }
+                    t = out;
+                }
+            }
+            Integrator::BackwardEuler if self.cache.disabled => {
+                for _ in 0..steps {
+                    let factors = StepFactors::build(model, StepKey::new(model, op.rpm(), dt));
+                    t = factors.step(&model.source(&factors.sources, op), t);
+                }
+            }
+            Integrator::BackwardEuler => {
+                let factors = self.cache.get(model, op.rpm(), dt);
+                let b = model.source(&factors.sources, op);
+                for _ in 0..steps {
+                    t = factors.step(&b, t);
+                }
+            }
+        }
+        self.temps = NodeTemps::from_array(t);
         for _ in 0..steps {
-            self.step(model, op);
+            self.time += self.step;
         }
     }
 
@@ -514,6 +561,29 @@ mod tests {
             }
             assert_eq!(cached.temps(), naive.temps(), "round {round}");
         }
+    }
+
+    #[test]
+    fn ambient_and_duty_changes_share_one_factorization() {
+        // The windowed DTM loop at one spindle speed: the duty moves
+        // every window and the airflow push-back moves the ambient every
+        // epoch, and neither enters the step matrix.
+        let spec = DriveThermalSpec::cheetah_15k3();
+        let mut m = model();
+        let mut cached = TransientSim::from_ambient(&m)
+            .with_step(Seconds::new(0.05))
+            .expect("positive step");
+        let mut naive = cached.clone().with_step_cache(false);
+        for i in 0..40 {
+            if i % 4 == 3 {
+                m = ThermalModel::new(spec.with_ambient(Celsius::new(28.0 + 0.5 * i as f64)));
+            }
+            let op = OperatingPoint::new(Rpm::new(15_000.0), (i % 5) as f64 / 4.0);
+            cached.advance(&m, op, Seconds::new(0.25));
+            naive.advance(&m, op, Seconds::new(0.25));
+            assert_eq!(cached, naive, "advance {i}");
+        }
+        assert_eq!(cached.cache.entries.len(), 1);
     }
 
     #[test]

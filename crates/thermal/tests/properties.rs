@@ -1,8 +1,8 @@
 //! Property-based tests for the thermal model's physical invariants.
 
 use diskthermal::{
-    max_rpm_within_envelope, DriveThermalSpec, EnvelopeSearch, Integrator, OperatingPoint,
-    ThermalModel, TransientSim, THERMAL_ENVELOPE,
+    max_rpm_within_envelope, DriveThermalSpec, EnvelopeSearch, FormFactor, Integrator,
+    OperatingPoint, ThermalModel, ThermalParams, TransientSim, THERMAL_ENVELOPE,
 };
 use proptest::prelude::*;
 use units::{Celsius, Inches, Rpm, Seconds};
@@ -10,6 +10,26 @@ use units::{Celsius, Inches, Rpm, Seconds};
 /// Roadmap-regime drive specs (the model's calibrated validity domain).
 fn spec_strategy() -> impl Strategy<Value = DriveThermalSpec> {
     (1.6f64..2.7, 1u32..5).prop_map(|(d, n)| DriveThermalSpec::new(Inches::new(d), n))
+}
+
+/// Coefficient sets around the calibrated defaults, with every
+/// coefficient that shapes the step matrix or the heat split moved.
+fn params_strategy() -> impl Strategy<Value = ThermalParams> {
+    let scale = || 0.7f64..1.3;
+    (scale(), scale(), scale(), scale(), scale()).prop_map(
+        |(conductance, capacity, windage, vcm, external)| {
+            let d = ThermalParams::default();
+            ThermalParams {
+                g_spindle_air: d.g_spindle_air * conductance,
+                g_air_base: d.g_air_base / conductance,
+                capacity_scale: d.capacity_scale * capacity,
+                visc_air_split: d.visc_air_split * windage,
+                vcm_air_split: d.vcm_air_split * vcm,
+                c_ext_rpm: d.c_ext_rpm * external,
+                ..d
+            }
+        },
+    )
 }
 
 fn rpm_strategy() -> impl Strategy<Value = Rpm> {
@@ -110,31 +130,63 @@ proptest! {
 
     #[test]
     fn cached_factorization_matches_naive_stepping(
-        spec in spec_strategy(),
-        rpm_a in 10_000.0f64..60_000.0,
-        rpm_b in 10_000.0f64..60_000.0,
+        diameter in 1.6f64..2.6,
+        platters in 1u32..5,
+        params in params_strategy(),
+        rpms in prop::collection::vec(10_000.0f64..60_000.0, 10..13),
+        bursts in prop::collection::vec(
+            (
+                any::<usize>(),
+                prop::collection::vec(
+                    (1u64..13, prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0]),
+                    1..5,
+                ),
+            ),
+            600..700,
+        ),
     ) {
-        // The cached step factorization must be numerically
-        // indistinguishable from factoring afresh on every step, even
-        // while the operating point keeps flipping under it.
-        let m = ThermalModel::new(spec);
-        let ops = [
-            OperatingPoint::seeking(Rpm::new(rpm_a)),
-            OperatingPoint::idle_vcm(Rpm::new(rpm_b)),
-        ];
-        let mut cached = TransientSim::from_ambient(&m)
-            .with_step(Seconds::new(0.1))
-            .expect("positive step");
-        let mut naive = cached.clone().with_step_cache(false);
-        for step in 0..10_000usize {
-            let op = ops[(step / 100) % 2];
-            cached.step(&m, op);
-            naive.step(&m, op);
-            let (c, n) = (cached.temps(), naive.temps());
-            prop_assert!((c.air - n.air).abs().get() <= 1e-12, "air drifted at step {step}");
-            prop_assert!((c.spindle - n.spindle).abs().get() <= 1e-12, "spindle drifted at step {step}");
-            prop_assert!((c.base - n.base).abs().get() <= 1e-12, "base drifted at step {step}");
-            prop_assert!((c.vcm - n.vcm).abs().get() <= 1e-12, "vcm drifted at step {step}");
+        // The cached step factorization must reproduce factoring afresh
+        // on every step bit for bit: windows of 1-12 steps, the speed
+        // drawn from more values than the cache holds and held for a few
+        // windows, the duty moving every window and the ambient every
+        // few, on both enclosures.
+        let dt = 0.05;
+        let spec = DriveThermalSpec::new(Inches::new(diameter), platters);
+        for form_factor in [FormFactor::Standard35, FormFactor::Small25] {
+            let spec = spec.with_form_factor(form_factor);
+            let mut m = ThermalModel::with_params(spec, params);
+            let mut cached = TransientSim::from_ambient(&m)
+                .with_step(Seconds::new(dt))
+                .expect("positive step");
+            let mut naive = cached.clone().with_step_cache(false);
+            let mut window = 0usize;
+            for (pick, windows) in &bursts {
+                let rpm = Rpm::new(rpms[pick % rpms.len()]);
+                for &(steps, duty) in windows {
+                    window += 1;
+                    if window.is_multiple_of(3) {
+                        let ambient = 22.0 + (window % 11) as f64;
+                        m = ThermalModel::with_params(spec.with_ambient(Celsius::new(ambient)), params);
+                    }
+                    let op = OperatingPoint::new(rpm, duty);
+                    // Half a step short, so the ceiling lands on `steps`.
+                    let span = Seconds::new((steps as f64 - 0.5) * dt);
+                    cached.advance(&m, op, span);
+                    naive.advance(&m, op, span);
+                    let (c, n) = (cached.temps(), naive.temps());
+                    for (node, x, y) in [
+                        ("air", c.air, n.air),
+                        ("spindle", c.spindle, n.spindle),
+                        ("base", c.base, n.base),
+                        ("vcm", c.vcm, n.vcm),
+                    ] {
+                        prop_assert_eq!(x.get().to_bits(), y.get().to_bits(),
+                            "{form_factor}: {node} {x} vs {y} after window {window}");
+                    }
+                    prop_assert_eq!(cached.time().get().to_bits(), naive.time().get().to_bits(),
+                        "{form_factor}: clock drifted after window {window}");
+                }
+            }
         }
     }
 }

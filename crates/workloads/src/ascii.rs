@@ -10,6 +10,7 @@
 //! with bit 0 of `flags` set for reads. Supporting it means traces can
 //! travel between this simulator and DiskSim-era tooling.
 
+use crate::trace::bad_line;
 use disksim::{Request, RequestKind};
 use std::io::{self, BufRead, Write};
 use units::Seconds;
@@ -93,13 +94,6 @@ pub fn read_ascii_trace<R: BufRead>(reader: R) -> io::Result<Vec<Request>> {
         ));
     }
     Ok(out)
-}
-
-fn bad_line(lineno: usize, what: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("trace line {}: {what}", lineno + 1),
-    )
 }
 
 #[cfg(test)]

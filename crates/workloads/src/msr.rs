@@ -20,6 +20,7 @@
 //! but otherwise ignored — response times are what the simulator
 //! produces, not what it consumes.
 
+use crate::trace::bad_line;
 use disksim::{Request, RequestKind};
 use std::io::{self, BufRead, Write};
 use units::Seconds;
@@ -126,13 +127,6 @@ pub fn read_msr_trace<R: BufRead>(reader: R) -> io::Result<Vec<Request>> {
         ));
     }
     Ok(out)
-}
-
-fn bad_line(lineno: usize, what: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("trace line {}: {what}", lineno + 1),
-    )
 }
 
 #[cfg(test)]

@@ -51,7 +51,9 @@ impl TraceFormat {
 /// # Errors
 ///
 /// Propagates I/O errors; a malformed line fails with an `InvalidData`
-/// error naming its 1-based line number and the detected format.
+/// error naming its 1-based line number and the detected format. In
+/// every format a zero-length request or a negative or non-finite
+/// arrival is malformed.
 pub fn read_trace<R: BufRead>(reader: R) -> io::Result<Vec<Request>> {
     let lines: Vec<String> = reader.lines().collect::<io::Result<_>>()?;
     let Some(first) = lines
@@ -89,15 +91,26 @@ fn read_json_lines(lines: &[String]) -> io::Result<Vec<Request>> {
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let request = serde_json::from_str(trimmed).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("trace line {}: {e}", index + 1),
-            )
-        })?;
+        let request: Request =
+            serde_json::from_str(trimmed).map_err(|e| bad_line(index, &e.to_string()))?;
+        if request.sectors == 0 {
+            return Err(bad_line(index, "zero-length request"));
+        }
+        if !request.arrival.is_finite() || request.arrival.get() < 0.0 {
+            return Err(bad_line(index, "negative or non-finite arrival"));
+        }
         out.push(request);
     }
     Ok(out)
+}
+
+/// The `InvalidData` error every trace reader raises for a malformed
+/// line, naming the 0-based `lineno` by its 1-based line number.
+pub(crate) fn bad_line(lineno: usize, what: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("trace line {}: {what}", lineno + 1),
+    )
 }
 
 #[cfg(test)]
@@ -168,6 +181,35 @@ mod tests {
         let json = "{\"bad\": true}\n";
         let err = read_trace(json.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("json-lines"), "{err}");
+
+        // JSON lines get the same request checks as the other formats.
+        let valid = r#"{"id":2,"arrival":1.0,"device":0,"lba":100,"sectors":8,"kind":"Read"}"#;
+        for (json, line, what) in [
+            (
+                format!(
+                    "{}\n{valid}\n",
+                    r#"{"id":1,"arrival":-3.0,"device":0,"lba":100,"sectors":0,"kind":"Read"}"#
+                ),
+                "line 1",
+                "zero-length request",
+            ),
+            (
+                format!(
+                    "{valid}\n{}\n",
+                    r#"{"id":1,"arrival":-3.0,"device":0,"lba":100,"sectors":8,"kind":"Read"}"#
+                ),
+                "line 2",
+                "negative or non-finite arrival",
+            ),
+        ] {
+            let err = read_trace(json.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains("json-lines") && msg.contains(line) && msg.contains(what),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

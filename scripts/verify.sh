@@ -14,6 +14,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml"
+# The end-to-end benchmark is a Cargo workspace of its own that builds
+# against crates/* by path, so the steps above never compile it: a
+# change to a public API it calls must fail here, not first in the
+# benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q -p disklab --test lab_determinism"
 # Fleet + engine determinism: threads=1 vs threads=8 byte-identical,
 # repeat runs served entirely from cache.
