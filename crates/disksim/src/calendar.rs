@@ -1,35 +1,21 @@
-//! A bucketed calendar queue for arrival events.
+//! The arrival calendar: pending arrival events in ascending time order.
 //!
-//! [`StorageSystem`](crate::StorageSystem) used to order pending
-//! arrivals in a `BinaryHeap<Reverse<Arrival>>`: O(log n) per push/pop
-//! and a fresh sift through the heap array for every event. Arrival
-//! streams are almost sorted already (admission loops release requests
-//! a control window at a time), which is the textbook case for a
-//! calendar queue [Brown 1988]: a ring of fixed-width time buckets plus
-//! a sorted *front* bucket, giving O(1) amortized push and pop.
+//! [`StorageSystem`](crate::StorageSystem) keeps its future arrivals in
+//! an [`ArrivalQueue`], a `VecDeque` held sorted by [`TimeKey`]. Arrival
+//! streams reach it already in order — admission loops release a sorted
+//! pending list one control window at a time, and batch replays submit
+//! a sorted trace — so a push is an append, a pop is `pop_front`, and
+//! the queue's footprint is what it holds.
 //!
-//! The queue pops in **exactly** the order the heap did — ascending
-//! [`TimeKey`] under `f64::total_cmp`, submission sequence breaking
-//! ties — which is what keeps every simulation artifact byte-identical
-//! after the swap (see the equivalence property test in
-//! `tests/properties.rs`). Three structural invariants carry the
-//! argument:
-//!
-//! 1. every key in `front` precedes `base` in the total order, and
-//!    `front` is kept sorted (descending, so `pop` is `Vec::pop`);
-//! 2. ring bucket `i` holds exactly the keys in
-//!    `[base + iw, base + (i+1)w)`, so draining buckets in ring order
-//!    and sorting each drained bucket visits keys in global order;
-//! 3. nothing in `overflow` precedes `base + w`: pushes land there only
-//!    when beyond the ring horizon, and the refill loop merges the
-//!    overflow back *before* advancing `base` past its minimum.
-//!
-//! Non-finite times ride along: keys on the negative side of the total
-//! order (`-inf`, negative NaN) go straight to `front`, keys on the
-//! positive side (`+inf`, positive NaN) to `overflow`, and `-0.0` is
-//! canonicalized to `0.0` for bucket *placement* only so that keys the
-//! total order distinguishes but arithmetic does not can never straddle
-//! a bucket boundary.
+//! The queue pops in ascending [`TimeKey`] order: `f64::total_cmp` on
+//! the time, then the submission sequence. That is a strict total order
+//! over every key the simulator makes (sequences are unique), so the
+//! pop order is a pure function of the queued key set — exactly the
+//! order a `BinaryHeap<Reverse<TimeKey>>` pops, which the equivalence
+//! property test in `tests/properties.rs` pins bit for bit, NaN, both
+//! zeros and the infinities included.
+
+use std::collections::VecDeque;
 
 /// Orders event times totally. Compares the time via `f64::total_cmp`
 /// (total even for NaN), then the submission sequence — so two events
@@ -70,369 +56,97 @@ impl PartialOrd for TimeKey {
     }
 }
 
-/// Ring size. Large enough that a control-window admission pattern
-/// (everything within a second or two of the clock) never overflows.
-const BUCKETS: usize = 512;
-
-/// Default bucket width in seconds: 5 ms puts a 250 ms control window
-/// across 50 buckets and gives the ring a 2.56 s horizon.
-const DEFAULT_WIDTH: f64 = 0.005;
-
-/// Floor for the adaptive width so a degenerate spread (all ties)
-/// cannot collapse the ring into zero-width buckets.
-const MIN_WIDTH: f64 = 1e-9;
-
-/// Maps `-0.0` to `0.0` for bucket placement. `TimeKey`'s total order
-/// distinguishes the two zeros but bucket arithmetic does not; placing
-/// both in the same bucket lets the within-bucket sort order them.
-fn canon(t: f64) -> f64 {
-    if t == 0.0 {
-        0.0
-    } else {
-        t
-    }
-}
-
-/// A min-ordered event queue over [`TimeKey`] with O(1) amortized
-/// push/pop for near-sorted streams.
+/// A min-ordered event queue over [`TimeKey`], kept sorted.
+///
+/// A key at or after the last queued one appends in O(1); popping and
+/// peeking read the front. The one cost is an out-of-order key: a
+/// binary search plus a shift of the nearer end of the deque. No path
+/// in the workspace pushes one — trace replay and `Fleet::run` sort
+/// their input, the generators emit in order, and `Fleet::offer` keeps
+/// its backlog sorted — but a caller that does still gets key order.
 ///
 /// # Examples
 ///
 /// ```
-/// use disksim::calendar::{CalendarQueue, TimeKey};
+/// use disksim::calendar::{ArrivalQueue, TimeKey};
 ///
-/// let mut q = CalendarQueue::new();
+/// let mut q = ArrivalQueue::new();
 /// q.push(TimeKey::new(2.0, 1), "late");
 /// q.push(TimeKey::new(1.0, 2), "early");
+/// assert_eq!(q.peek(), Some(TimeKey::new(1.0, 2)));
 /// assert_eq!(q.pop(), Some((TimeKey::new(1.0, 2), "early")));
 /// assert_eq!(q.pop(), Some((TimeKey::new(2.0, 1), "late")));
 /// assert_eq!(q.pop(), None);
 /// ```
 #[derive(Debug)]
-pub struct CalendarQueue<T> {
-    /// Keys preceding `base`, sorted descending so `pop` is `Vec::pop`.
-    front: Vec<(TimeKey, T)>,
-    /// `ring[(cursor + i) % BUCKETS]` holds `[base + iw, base + (i+1)w)`.
-    ring: Vec<Vec<(TimeKey, T)>>,
-    cursor: usize,
-    base: f64,
-    width: f64,
-    ring_len: usize,
-    /// Events beyond the ring horizon (and `+inf` / positive-NaN keys).
-    overflow: Vec<(TimeKey, T)>,
-    overflow_min: Option<TimeKey>,
-    len: usize,
-    /// Reused by overflow merges so redistribution allocates nothing.
-    scratch: Vec<(TimeKey, T)>,
+pub struct ArrivalQueue<T> {
+    /// Ascending by key.
+    entries: VecDeque<(TimeKey, T)>,
 }
 
-impl<T> Default for CalendarQueue<T> {
+impl<T> Default for ArrivalQueue<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> CalendarQueue<T> {
-    /// An empty queue.
+impl<T> ArrivalQueue<T> {
+    /// An empty queue. Allocates nothing until the first push.
     pub fn new() -> Self {
         Self {
-            front: Vec::new(),
-            ring: (0..BUCKETS).map(|_| Vec::new()).collect(),
-            cursor: 0,
-            base: 0.0,
-            width: DEFAULT_WIDTH,
-            ring_len: 0,
-            overflow: Vec::new(),
-            overflow_min: None,
-            len: 0,
-            scratch: Vec::new(),
+            entries: VecDeque::new(),
         }
     }
 
     /// Events queued.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
-    /// Queues an event.
+    /// Queues an event after every queued key that does not exceed it.
     pub fn push(&mut self, key: TimeKey, item: T) {
-        if self.len == 0 {
-            // Rebase an empty queue around the new event, so a long idle
-            // gap never forces events through the sorted front.
-            let t = canon(key.0);
-            if t.is_finite() {
-                self.base = t;
+        match self.entries.back() {
+            Some((last, _)) if key < *last => {
+                let at = self.entries.partition_point(|(k, _)| *k <= key);
+                self.entries.insert(at, (key, item));
             }
-        }
-        self.len += 1;
-        let t = canon(key.0);
-        if !t.is_finite() {
-            if t.is_sign_negative() {
-                // -inf / negative NaN precede every finite key.
-                self.push_front(key, item);
-            } else {
-                self.push_overflow(key, item);
-            }
-            return;
-        }
-        if t < self.base {
-            self.push_front(key, item);
-            return;
-        }
-        // Saturating cast: a huge quotient (or one past the horizon)
-        // lands in overflow.
-        let idx = ((t - self.base) / self.width) as usize;
-        if idx >= BUCKETS {
-            self.push_overflow(key, item);
-        } else {
-            self.ring[(self.cursor + idx) % BUCKETS].push((key, item));
-            self.ring_len += 1;
+            _ => self.entries.push_back((key, item)),
         }
     }
 
     /// Removes and returns the minimum event.
     pub fn pop(&mut self) -> Option<(TimeKey, T)> {
-        if self.front.is_empty() && !self.refill_front() {
-            return None;
-        }
-        let kv = self.front.pop()?;
-        self.len -= 1;
-        Some(kv)
+        self.entries.pop_front()
     }
 
-    /// The minimum key, staging the next events into the sorted front
-    /// (amortized O(1), like [`Self::pop`]).
-    pub fn peek(&mut self) -> Option<&TimeKey> {
-        if self.front.is_empty() && !self.refill_front() {
-            return None;
-        }
-        self.front.last().map(|(k, _)| k)
+    /// The minimum key, without removing its event.
+    pub fn peek(&self) -> Option<TimeKey> {
+        self.entries.front().map(|(k, _)| *k)
     }
 
-    /// The time of the minimum event, via the [`Self::peek`] fast path.
-    ///
-    /// The k-way merge at the fleet's epoch boundary asks every shard
-    /// for its next event time before deciding which shard advances;
-    /// this answers without popping, so no pop/re-push churn at epoch
-    /// boundaries and no ring scan (amortized O(1)).
-    pub fn peek_time(&mut self) -> Option<f64> {
-        self.peek().map(TimeKey::time)
-    }
-
-    /// The minimum key without staging (for `&self` callers). Scans the
-    /// ring for its first occupied bucket, so prefer [`Self::peek`] in
-    /// hot loops.
-    pub fn min_key(&self) -> Option<TimeKey> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut best: Option<TimeKey> = self.front.last().map(|(k, _)| *k);
-        if best.is_none() && self.ring_len > 0 {
-            let mut c = self.cursor;
-            loop {
-                if let Some(m) = self.ring[c].iter().map(|(k, _)| *k).min() {
-                    best = Some(m);
-                    break;
-                }
-                c = (c + 1) % BUCKETS;
-            }
-        }
-        match (best, self.overflow_min) {
-            (Some(b), Some(o)) => Some(b.min(o)),
-            (b, o) => b.or(o),
-        }
-    }
-
-    /// Every queued event in pop order (ascending key), for
-    /// checkpointing. Pop order is a pure function of the queued key
-    /// set (the heap-equivalence property above), so rebuilding a queue
-    /// from this list via [`Self::from_sorted_entries`] reproduces the
-    /// original's pop sequence exactly, whatever internal bucket layout
-    /// either queue happens to have.
+    /// Every queued event in pop order, for checkpointing.
     pub fn sorted_entries(&self) -> Vec<(TimeKey, T)>
     where
         T: Clone,
     {
-        let mut out: Vec<(TimeKey, T)> = Vec::with_capacity(self.len);
-        out.extend(self.front.iter().cloned());
-        for bucket in &self.ring {
-            out.extend(bucket.iter().cloned());
-        }
-        out.extend(self.overflow.iter().cloned());
-        out.sort_unstable_by_key(|entry| entry.0);
-        out
+        self.entries.iter().cloned().collect()
     }
 
-    /// Rebuilds a queue holding exactly `entries` (ascending key
-    /// order). The inverse of [`Self::sorted_entries`].
-    ///
-    /// Bucket sizes are counted up front and reserved in one pass, so a
-    /// checkpoint restore fills each bucket at its final capacity
-    /// instead of growing every bucket incrementally.
-    pub fn from_sorted_entries(entries: Vec<(TimeKey, T)>) -> Self {
-        let mut q = Self::new();
-        if let Some(&(first, _)) = entries.first() {
-            // Mirror `push`'s placement rules against the base the first
-            // entry will establish, counting how many land in each slot.
-            let base = canon(first.0);
-            let base = if base.is_finite() { base } else { q.base };
-            let mut front = 0usize;
-            let mut overflow = 0usize;
-            let mut ring_counts = vec![0u32; BUCKETS];
-            for (key, _) in &entries {
-                let t = canon(key.0);
-                if !t.is_finite() {
-                    if t.is_sign_negative() {
-                        front += 1;
-                    } else {
-                        overflow += 1;
-                    }
-                    continue;
-                }
-                if t < base {
-                    front += 1;
-                    continue;
-                }
-                let idx = ((t - base) / q.width) as usize;
-                if idx >= BUCKETS {
-                    overflow += 1;
-                } else {
-                    ring_counts[idx] += 1;
-                }
-            }
-            q.front.reserve(front);
-            q.overflow.reserve(overflow);
-            for (bucket, &count) in q.ring.iter_mut().zip(&ring_counts) {
-                bucket.reserve(count as usize);
-            }
+    /// Rebuilds a queue holding exactly `entries`: the inverse of
+    /// [`Self::sorted_entries`]. The entries are sorted first, which is
+    /// one linear pass when they already are, so a hand-edited
+    /// checkpoint still pops in key order; the deque then takes over
+    /// the vector's buffer, so a restore allocates nothing.
+    pub fn from_sorted_entries(mut entries: Vec<(TimeKey, T)>) -> Self {
+        entries.sort_unstable_by_key(|entry| entry.0);
+        Self {
+            entries: entries.into(),
         }
-        for (key, item) in entries {
-            q.push(key, item);
-        }
-        q
-    }
-
-    /// Sorted insert into the descending front.
-    fn push_front(&mut self, key: TimeKey, item: T) {
-        let pos = self.front.partition_point(|(k, _)| *k > key);
-        self.front.insert(pos, (key, item));
-    }
-
-    fn push_overflow(&mut self, key: TimeKey, item: T) {
-        self.overflow.push((key, item));
-        self.overflow_min = Some(match self.overflow_min {
-            Some(m) => m.min(key),
-            None => key,
-        });
-    }
-
-    /// Stages the next bucket's events into the sorted front. Returns
-    /// whether the front holds anything afterwards.
-    fn refill_front(&mut self) -> bool {
-        debug_assert!(self.front.is_empty());
-        loop {
-            if self.ring_len == 0 {
-                if self.overflow.is_empty() {
-                    return false;
-                }
-                self.rebase_from_overflow();
-                if !self.front.is_empty() {
-                    self.front.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
-                    return true;
-                }
-                continue;
-            }
-            // Walk to the next occupied bucket — but never advance
-            // `base` past the overflow minimum (invariant 3): merge the
-            // overflow back into the ring first.
-            loop {
-                if self
-                    .overflow_min
-                    .is_some_and(|om| om.0 < self.base + self.width)
-                {
-                    self.merge_overflow();
-                    break;
-                }
-                if !self.ring[self.cursor].is_empty() {
-                    // Drain the bucket into the front wholesale; the
-                    // swap recycles both buffers' capacity.
-                    std::mem::swap(&mut self.front, &mut self.ring[self.cursor]);
-                    self.ring_len -= self.front.len();
-                    self.cursor = (self.cursor + 1) % BUCKETS;
-                    self.base += self.width;
-                    self.front.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
-                    return true;
-                }
-                self.cursor = (self.cursor + 1) % BUCKETS;
-                self.base += self.width;
-            }
-            if !self.front.is_empty() {
-                self.front.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
-                return true;
-            }
-        }
-    }
-
-    /// Re-aims the (empty) ring at the overflow: `base` moves to the
-    /// overflow minimum and the width adapts so the spread fits the
-    /// ring, then the overflow redistributes.
-    fn rebase_from_overflow(&mut self) {
-        debug_assert!(self.ring_len == 0 && self.front.is_empty());
-        let om = self.overflow_min.expect("overflow is non-empty");
-        if !canon(om.0).is_finite() {
-            // Only +inf / positive-NaN keys remain: the queue degrades
-            // to the sorted front, which orders them by `total_cmp`.
-            std::mem::swap(&mut self.front, &mut self.overflow);
-            self.overflow_min = None;
-            return;
-        }
-        self.base = canon(om.0);
-        let mut max_t = self.base;
-        for (k, _) in &self.overflow {
-            let t = canon(k.0);
-            if t.is_finite() && t > max_t {
-                max_t = t;
-            }
-        }
-        let span = max_t - self.base;
-        if span > 0.0 && span.is_finite() {
-            // Aim the whole spread at 3/4 of the ring so everything
-            // lands in one pass with headroom for new pushes.
-            self.width = (span / (BUCKETS as f64 * 0.75)).max(MIN_WIDTH);
-        }
-        self.merge_overflow();
-    }
-
-    /// Reclassifies every overflow event against the current `base` /
-    /// `width`: into the front (before `base`), the ring (within the
-    /// horizon), or back into the overflow. The front is left unsorted;
-    /// callers sort it once afterwards.
-    fn merge_overflow(&mut self) {
-        std::mem::swap(&mut self.overflow, &mut self.scratch);
-        for (key, item) in self.scratch.drain(..) {
-            let t = canon(key.0);
-            if !t.is_finite() {
-                self.overflow.push((key, item));
-                continue;
-            }
-            if t < self.base {
-                self.front.push((key, item));
-                continue;
-            }
-            let idx = ((t - self.base) / self.width) as usize;
-            if idx >= BUCKETS {
-                self.overflow.push((key, item));
-            } else {
-                self.ring[(self.cursor + idx) % BUCKETS].push((key, item));
-                self.ring_len += 1;
-            }
-        }
-        self.overflow_min = self.overflow.iter().map(|(k, _)| *k).min();
     }
 }
 
@@ -440,7 +154,7 @@ impl<T> CalendarQueue<T> {
 mod tests {
     use super::*;
 
-    fn drain(q: &mut CalendarQueue<u64>) -> Vec<(f64, u64)> {
+    fn drain(q: &mut ArrivalQueue<u64>) -> Vec<(f64, u64)> {
         let mut out = Vec::new();
         while let Some((k, v)) = q.pop() {
             assert_eq!(k.seq(), v);
@@ -451,7 +165,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_then_seq_order() {
-        let mut q = CalendarQueue::new();
+        let mut q = ArrivalQueue::new();
         for (i, t) in [3.0, 1.0, 2.0, 1.0, 0.5].into_iter().enumerate() {
             q.push(TimeKey::new(t, i as u64), i as u64);
         }
@@ -463,7 +177,7 @@ mod tests {
     fn matches_a_binary_heap_on_a_bursty_stream() {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
-        let mut q = CalendarQueue::new();
+        let mut q = ArrivalQueue::new();
         let mut h = BinaryHeap::new();
         let mut x = 0x243F_6A88_85A3_08D3u64;
         for seq in 0..5_000u64 {
@@ -487,7 +201,7 @@ mod tests {
 
     #[test]
     fn late_pushes_pop_first() {
-        let mut q = CalendarQueue::new();
+        let mut q = ArrivalQueue::new();
         for seq in 0..100u64 {
             q.push(TimeKey::new(seq as f64, seq), seq);
         }
@@ -501,7 +215,7 @@ mod tests {
 
     #[test]
     fn non_finite_times_sort_by_total_cmp() {
-        let mut q = CalendarQueue::new();
+        let mut q = ArrivalQueue::new();
         let neg_nan = -f64::NAN;
         let keys = [f64::NAN, f64::NEG_INFINITY, 1.0, f64::INFINITY, neg_nan, -0.0, 0.0];
         for (i, t) in keys.into_iter().enumerate() {
@@ -522,41 +236,14 @@ mod tests {
     }
 
     #[test]
-    fn min_key_agrees_with_peek_without_staging() {
-        let mut q = CalendarQueue::new();
-        for seq in 0..200u64 {
-            q.push(TimeKey::new((seq as f64 * 7.7) % 13.0 + 3.0, seq), seq);
-        }
-        while !q.is_empty() {
-            let scanned = q.min_key();
-            assert_eq!(q.peek().copied(), scanned);
-            q.pop();
-        }
-        assert_eq!(q.min_key(), None);
-    }
-
-    #[test]
     fn peek_time_reports_without_popping() {
-        let mut q = CalendarQueue::new();
-        assert_eq!(q.peek_time(), None);
+        let mut q = ArrivalQueue::new();
+        assert_eq!(q.peek(), None);
         q.push(TimeKey::new(4.5, 0), 0);
         q.push(TimeKey::new(1.25, 1), 1);
-        assert_eq!(q.peek_time(), Some(1.25));
-        assert_eq!(q.len(), 2, "peek_time must not pop");
+        assert_eq!(q.peek().map(|k| k.time()), Some(1.25));
+        assert_eq!(q.len(), 2, "peek must not pop");
         assert_eq!(q.pop().map(|(_, v)| v), Some(1));
-        assert_eq!(q.peek_time(), Some(4.5));
-    }
-
-    #[test]
-    fn far_future_spread_rebases_adaptively() {
-        let mut q = CalendarQueue::new();
-        // Spread far beyond the default 2.56 s horizon.
-        for seq in 0..1_000u64 {
-            q.push(TimeKey::new((seq % 500) as f64 * 60.0, seq), seq);
-        }
-        let order = drain(&mut q);
-        let mut sorted = order.clone();
-        sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        assert_eq!(order, sorted);
+        assert_eq!(q.peek().map(|k| k.time()), Some(4.5));
     }
 }

@@ -49,7 +49,7 @@ mod stats;
 mod system;
 
 pub use cache::{CacheConfig, CacheOutcome, DiskCache};
-pub use calendar::{CalendarQueue, TimeKey};
+pub use calendar::{ArrivalQueue, TimeKey};
 pub use disk::{Disk, DiskSpec, ServiceBreakdown};
 pub use energy::{EnergyMeter, EnergyModel, EnergyReport};
 pub use error::SimError;

@@ -1,6 +1,6 @@
 //! The event-driven storage-system engine.
 
-use crate::calendar::{CalendarQueue, TimeKey};
+use crate::calendar::{ArrivalQueue, TimeKey};
 use crate::disk::{Disk, DiskSpec};
 use crate::error::SimError;
 use crate::raid::{PhysOp, RaidConfig};
@@ -174,11 +174,8 @@ pub struct StorageSystem {
     scheduler: Scheduler,
     raid: Option<RaidConfig>,
     logical_sectors: u64,
-    /// Pending arrivals, ordered by (arrival time, submission sequence)
-    /// — the same total order the old `BinaryHeap<Reverse<Arrival>>`
-    /// used, but O(1) amortized for the near-sorted streams workloads
-    /// produce.
-    arrivals: CalendarQueue<Request>,
+    /// Pending arrivals, ordered by (arrival time, submission sequence).
+    arrivals: ArrivalQueue<Request>,
     /// All queued physical requests, one slab shared by every disk;
     /// `disk_queues` threads per-disk lists through it and `slot_free`
     /// recycles indices, so steady-state queueing allocates nothing.
@@ -241,7 +238,7 @@ impl StorageSystem {
             scheduler: config.scheduler,
             raid: config.raid,
             logical_sectors,
-            arrivals: CalendarQueue::new(),
+            arrivals: ArrivalQueue::new(),
             slots: Vec::new(),
             slot_free: Vec::new(),
             disk_queues: vec![DiskQueue::EMPTY; n],
@@ -465,17 +462,15 @@ impl StorageSystem {
         }
     }
 
-    /// Earliest pending event time, if any. Uses the calendar queue's
-    /// [`CalendarQueue::peek_time`](crate::calendar::CalendarQueue::peek_time)
-    /// fast path (hence `&mut self`): shards polled at every epoch
-    /// boundary answer in amortized O(1) instead of scanning the ring.
-    pub fn next_event_time(&mut self) -> Option<Seconds> {
+    /// Earliest pending event time, if any: the earliest in-service
+    /// completion or the arrival queue's front, whichever comes first.
+    pub fn next_event_time(&self) -> Option<Seconds> {
         let completion = self
             .in_service
             .iter()
             .filter_map(|s| s.map(|(f, _)| f.get()))
             .fold(f64::INFINITY, f64::min);
-        let arrival = self.arrivals.peek_time().unwrap_or(f64::INFINITY);
+        let arrival = self.arrivals.peek().map_or(f64::INFINITY, |k| k.time());
         let t = completion.min(arrival);
         t.is_finite().then(|| Seconds::new(t))
     }
@@ -737,7 +732,7 @@ impl StorageSystem {
 /// Complete dynamic state of a [`StorageSystem`], captured for
 /// checkpointing. Covers every field the event loop reads — disks
 /// (mechanical position, cache, activity counters), the arrival
-/// calendar (as its sorted entry list, including each entry's
+/// queue (as its sorted entry list, including each entry's
 /// submission-sequence tie-breaker), the queued-request slab with its
 /// free list, per-disk intrusive queues, in-service operations, the
 /// parent slab and free list, and the scalar counters. The trace sink
@@ -845,7 +840,7 @@ impl StorageSystem {
             scheduler: state.scheduler,
             raid: state.raid,
             logical_sectors: state.logical_sectors,
-            arrivals: CalendarQueue::from_sorted_entries(state.arrivals),
+            arrivals: ArrivalQueue::from_sorted_entries(state.arrivals),
             slots: state.slots,
             slot_free: state.slot_free,
             disk_queues: state.disk_queues,

@@ -1,7 +1,7 @@
 //! Property-based tests for the storage-system engine.
 
 use disksim::{
-    CalendarQueue, DiskSpec, Request, RequestKind, Scheduler, StorageSystem, SystemConfig,
+    ArrivalQueue, DiskSpec, Request, RequestKind, Scheduler, StorageSystem, SystemConfig,
     TimeKey,
 };
 use proptest::prelude::*;
@@ -156,22 +156,40 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // The calendar queue is a drop-in replacement for the
-    // `BinaryHeap<Reverse<_>>` it displaced: for any interleaving of
-    // pushes and pops — including exact ties, bucket-boundary
-    // multiples, far-future overflow keys, negative times, both zeros,
-    // and the non-finite values `f64::total_cmp` must order — both
-    // structures pop the identical sequence of keys and payloads.
-    // Bit-level comparison, because a derived `PartialEq` would call
-    // NaN unequal to itself.
+    // The arrival queue pops exactly what a `BinaryHeap<Reverse<_>>`
+    // pops: for any interleaving of pushes and pops — including exact
+    // ties, far-future and out-of-order keys, negative times, both
+    // zeros, and the non-finite values `f64::total_cmp` must order —
+    // both structures pop the identical sequence of keys and payloads.
+    // Midway the queue goes through a checkpoint round trip, once with
+    // its entries in order and once scrambled, and must carry on
+    // popping the heap's sequence. Bit-level comparison, because a
+    // derived `PartialEq` would call NaN unequal to itself.
     #[test]
     fn calendar_queue_pops_match_binary_heap(
         ops in prop::collection::vec((0u8..4, event_time()), 1..300),
+        rebuild_at in any::<usize>(),
+        shuffle_at in any::<usize>(),
+        shuffle_seed in any::<u64>(),
     ) {
-        let mut cal: CalendarQueue<u32> = CalendarQueue::new();
+        let mut cal: ArrivalQueue<u32> = ArrivalQueue::new();
         let mut heap: BinaryHeap<Reverse<(TimeKey, u32)>> = BinaryHeap::new();
         let mut seq = 0u64;
-        for &(op, t) in &ops {
+        for (i, &(op, t)) in ops.iter().enumerate() {
+            if i == rebuild_at % ops.len() {
+                cal = ArrivalQueue::from_sorted_entries(cal.sorted_entries());
+            }
+            if i == shuffle_at % ops.len() {
+                let mut entries = cal.sorted_entries();
+                entries.sort_by_key(|(k, _)| {
+                    (k.seq() ^ shuffle_seed).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                });
+                cal = ArrivalQueue::from_sorted_entries(entries);
+            }
+            prop_assert_eq!(
+                cal.peek().map(|k| (k.time().to_bits(), k.seq())),
+                heap.peek().map(|Reverse((k, _))| (k.time().to_bits(), k.seq()))
+            );
             if op == 0 {
                 let a = cal.pop();
                 let b = heap.pop().map(|Reverse(x)| x);
@@ -236,7 +254,7 @@ proptest! {
     // tie-breaking rests on — whatever the time value, NaN included.
     #[test]
     fn exact_ties_pop_in_submission_order(t in event_time(), n in 1u64..64) {
-        let mut cal = CalendarQueue::new();
+        let mut cal = ArrivalQueue::new();
         for i in 0..n {
             cal.push(TimeKey::new(t, i), i);
         }
@@ -250,9 +268,9 @@ proptest! {
     }
 }
 
-/// Times that stress the calendar: dense near-term arrivals, exact
-/// bucket-boundary multiples (tie candidates), negatives, far-future
-/// overflow keys, and the special values whose ordering only
+/// Times that stress the arrival queue: dense near-term arrivals, a
+/// coarse grid of exact multiples (tie candidates), negatives,
+/// far-future keys, and the special values whose ordering only
 /// `total_cmp` defines.
 fn event_time() -> impl Strategy<Value = f64> {
     prop_oneof![

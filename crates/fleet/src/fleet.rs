@@ -958,11 +958,25 @@ impl Fleet {
 
     /// Queues logical requests for routing at the next epoch boundary.
     ///
-    /// Requests are appended as-is: the stepwise caller must offer them
-    /// in non-decreasing arrival order (the batch `run` entry points
-    /// sort instead).
+    /// The backlog stays in arrival order whatever order requests come
+    /// in: each one goes after every queued request that arrives no
+    /// later, so requests with equal arrival times route in the order
+    /// they were offered. An in-order stream only appends.
     pub fn offer(&mut self, requests: impl IntoIterator<Item = Request>) {
-        self.incoming.extend(requests);
+        let requests = requests.into_iter();
+        self.incoming.reserve(requests.size_hint().0);
+        for r in requests {
+            let t = r.arrival.get();
+            match self.incoming.back() {
+                Some(last) if t.total_cmp(&last.arrival.get()).is_lt() => {
+                    let at = self
+                        .incoming
+                        .partition_point(|q| q.arrival.get().total_cmp(&t).is_le());
+                    self.incoming.insert(at, r);
+                }
+                _ => self.incoming.push_back(r),
+            }
+        }
     }
 
     /// Turns on per-enclosure event emission for stepwise callers (the
@@ -1257,6 +1271,13 @@ impl Fleet {
             total.merge(&e.stats);
         }
         total
+    }
+
+    /// Completions folded into [`Self::stats`] so far: each bay's count,
+    /// summed. Equal to `self.stats().count()` (merging adds counts)
+    /// without merging and cloning every bay's reservoir.
+    pub fn stats_count(&self) -> u64 {
+        self.enclosures.iter().map(|e| e.stats.count()).sum()
     }
 
     /// Discards the accumulated response-time statistics. What-if forks
@@ -1840,6 +1861,22 @@ mod tests {
             serde_json::to_string(&fleet.report()).unwrap()
         };
         assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn an_early_offer_is_not_stranded_behind_a_later_one() {
+        let at = |id, t| Request::new(id, Seconds::new(t), 0, 0, 8, RequestKind::Read);
+        // One bay, 1 s epochs.
+        let mut fleet = Fleet::new(config(1, 15_020.0, 12.0)).unwrap();
+        fleet.offer([at(0, 5.0)]);
+        fleet.offer([at(1, 0.1), at(2, 5.0), at(3, 0.1)]);
+        let order: Vec<u64> = fleet.incoming.iter().map(|r| r.id).collect();
+        assert_eq!(order, [1, 3, 0, 2], "arrival order, ties in offer order");
+        let mut sink = diskobs::Sink::null();
+        let mut profile = FleetPhaseProfile::default();
+        fleet.step_epoch(&mut sink, &mut profile);
+        assert_eq!(fleet.report().per_enclosure[0].routed, 2, "both 0.1 s requests route");
+        assert_eq!(fleet.stats_count(), fleet.stats().count());
     }
 
     #[test]

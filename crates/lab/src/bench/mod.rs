@@ -74,13 +74,6 @@ pub static SUITES: [Suite; 7] = [
         name: "sim",
         file: "BENCH_sim.json",
         measure: |quick| Ok(sim::sim_bench(quick)?.to_value()),
-        // No calendar-vs-heap check: the calendar queue spends its
-        // first few hundred thousand holds in a bucket-resize
-        // transient, so quick op counts measure the transient, not the
-        // steady state the committed number records (measured ratio
-        // climbs 0.15 -> 1.46 between 50k and 2M holds). The window
-        // loop churns the same queue on the real event path and is
-        // scale-free per window.
         gated: &[("windows_per_sec", Higher)],
     },
     Suite {
@@ -376,7 +369,7 @@ mod tests {
     use super::fleet::fleet_windows_per_sec;
     use super::obs::fleet_wall_ms_with;
     use super::scenario::scenario_bench;
-    use super::sim::{queue_hold_ops_per_sec, sim_windows_per_sec};
+    use super::sim::sim_windows_per_sec;
     use super::thermal::{be_steps_per_sec, fe_steps_per_sec, steady_solves_per_sec};
     use super::twin::twin_bench;
     use super::*;
@@ -410,12 +403,6 @@ mod tests {
         let (wps, eps) = sim_windows_per_sec(200, 1).unwrap();
         assert!(wps > 0.0);
         assert!(eps > 0.0);
-    }
-
-    #[test]
-    fn queue_hold_churn_is_deterministic_and_positive() {
-        assert!(queue_hold_ops_per_sec(2_000, true) > 0.0);
-        assert!(queue_hold_ops_per_sec(2_000, false) > 0.0);
     }
 
     #[test]

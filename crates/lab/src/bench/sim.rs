@@ -1,12 +1,8 @@
-//! Storage event-core suite: the single-shard window loop and the
-//! calendar queue against the heap it replaced.
+//! Storage event-core suite: the single-shard window loop.
 
 use crate::LabError;
-use disksim::{CalendarQueue, DiskSpec, Request, StorageSystem, SystemConfig, TimeKey};
+use disksim::{DiskSpec, Request, StorageSystem, SystemConfig};
 use serde::Serialize;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::hint::black_box;
 use std::time::Instant;
 use units::{Rpm, Seconds};
 
@@ -41,30 +37,6 @@ pub struct SimBenchReport {
     pub baseline_fleet_serial_windows_per_sec: Option<f64>,
     /// `windows_per_sec / baseline` — the event-core rewrite's payoff.
     pub windows_speedup: Option<f64>,
-    /// Calendar-queue hold operations (one pop + one push)/sec under a
-    /// deterministic pseudo-random churn with occasional far-future
-    /// (overflow-bucket) keys.
-    pub calendar_hold_ops_per_sec: f64,
-    /// The same churn through the `BinaryHeap<Reverse<TimeKey>>` the
-    /// calendar queue replaced.
-    pub heap_hold_ops_per_sec: f64,
-    /// `calendar / heap` — the queue swap's isolated payoff.
-    pub calendar_vs_heap_speedup: f64,
-}
-
-/// `splitmix64` — a tiny deterministic PRNG step (the workspace links
-/// no rand crate).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A uniform draw in `[0, 1)` from the splitmix stream.
-fn u01(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
 }
 
 /// One timed pass of the figure-scale trace through a single-shard
@@ -137,68 +109,15 @@ pub(super) fn sim_windows_per_sec(requests: u64, reps: usize) -> Result<(f64, f6
     Ok(best)
 }
 
-/// Hold-model churn (seed the queue, then pop-one/push-one `n` times)
-/// through either the calendar queue or the `BinaryHeap` it replaced.
-/// Every 64th push lands far in the future, exercising the calendar's
-/// overflow bucket the way RAID rebuilds and idle gaps do.
-pub(super) fn queue_hold_ops_per_sec(n: usize, use_calendar: bool) -> f64 {
-    const SEEDED: usize = 4_096;
-    let mut state = 0x853c_49e6_748f_ea9b_u64;
-    let mut seq = 0u64;
-    let draw = |now: f64, state: &mut u64, seq: &mut u64| {
-        let far = (*seq).is_multiple_of(64);
-        let dt = if far { u01(state) * 100.0 } else { u01(state) * 0.01 };
-        let key = TimeKey::new(now + dt, *seq);
-        *seq += 1;
-        key
-    };
-    if use_calendar {
-        let mut q = CalendarQueue::new();
-        for _ in 0..SEEDED {
-            let key = draw(0.0, &mut state, &mut seq);
-            q.push(key, ());
-        }
-        let start = Instant::now();
-        for _ in 0..n {
-            let (key, ()) = q.pop().expect("queue stays seeded");
-            let next = draw(key.time(), &mut state, &mut seq);
-            q.push(next, ());
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        black_box(q.len());
-        n as f64 / elapsed
-    } else {
-        let mut q = BinaryHeap::new();
-        for _ in 0..SEEDED {
-            q.push(Reverse(draw(0.0, &mut state, &mut seq)));
-        }
-        let start = Instant::now();
-        for _ in 0..n {
-            let Reverse(key) = q.pop().expect("queue stays seeded");
-            q.push(Reverse(draw(key.time(), &mut state, &mut seq)));
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        black_box(q.len());
-        n as f64 / elapsed
-    }
-}
-
 /// Benchmarks the storage event core: the window loop on the
-/// figure-scale trace, and the calendar queue against the heap it
-/// replaced.
+/// figure-scale trace.
 ///
 /// Call this *before* overwriting `BENCH_fleet.json`: the speedup is
 /// computed against the committed serial baseline.
 pub fn sim_bench(quick: bool) -> Result<SimBenchReport, LabError> {
     let baseline = baseline_field("BENCH_fleet.json", "serial_windows_per_sec");
-    let (requests, reps, holds) = if quick {
-        (800, 2, 50_000)
-    } else {
-        (48_000, 7, 2_000_000)
-    };
+    let (requests, reps) = if quick { (800, 2) } else { (48_000, 7) };
     let (windows_per_sec, events_per_sec) = sim_windows_per_sec(requests, reps)?;
-    let calendar = queue_hold_ops_per_sec(holds, true);
-    let heap = queue_hold_ops_per_sec(holds, false);
     Ok(SimBenchReport {
         quick,
         provenance: Provenance::collect(),
@@ -206,8 +125,5 @@ pub fn sim_bench(quick: bool) -> Result<SimBenchReport, LabError> {
         events_per_sec,
         baseline_fleet_serial_windows_per_sec: baseline,
         windows_speedup: baseline.map(|b| windows_per_sec / b),
-        calendar_hold_ops_per_sec: calendar,
-        heap_hold_ops_per_sec: heap,
-        calendar_vs_heap_speedup: calendar / heap,
     })
 }

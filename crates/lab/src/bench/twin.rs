@@ -42,8 +42,8 @@ pub struct TwinBenchReport {
 /// character (quadratic in body size). Unescaped runs are now
 /// bulk-copied and validated once — the framed FNV-1a checksum plus one
 /// linear UTF-8 pass is all the byte-level validation a body needs —
-/// and `CalendarQueue::from_sorted_entries` preallocates its buckets
-/// from the recorded sizes. The structural re-validation in
+/// and the arrival queue is rebuilt from the recorded entry list in
+/// one step. The structural re-validation in
 /// `StorageSystem::restore_state` stays: it guards against states whose
 /// JSON parses but whose links are inconsistent, and it measures in the
 /// tens of microseconds. Encode later stopped building a value tree:

@@ -137,7 +137,7 @@ pub fn run_scenario(
             peak_air_c: fleet.peak_air().get(),
             peak_ambient_c: fleet.peak_local_ambient().get(),
             engaged: fleet.engaged_count(),
-            completed: fleet.stats().count(),
+            completed: fleet.stats_count(),
             rebuild_done: done,
             rebuild_total: total,
             traffic_factor: engine.traffic_factor(),

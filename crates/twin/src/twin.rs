@@ -516,7 +516,7 @@ fn run_fork(
     let sum_scaled = |r: &diskfleet::FleetReport| {
         r.per_enclosure.iter().map(|e| e.time_scaled.get()).sum::<f64>()
     };
-    let stats = twin.fleet.stats();
+    let stats = &after.stats;
     Ok(ForkOutcome {
         completed: stats.count(),
         mean_ms: stats.mean().to_millis(),

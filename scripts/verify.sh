@@ -36,6 +36,13 @@ echo "==> cargo run --release --bin lab -- run fleet_routing --no-cache"
 cargo run --release --bin lab -- run fleet_routing --no-cache
 git diff --exit-code -- results/fleet_routing.json results/fleet_routing.txt
 
+echo "==> cargo run --release --bin lab -- run figure4 --no-cache"
+# Figure 4 is the one committed experiment whose arrival queue holds a
+# whole trace (200k requests per cell), a path no perfbench workload
+# runs. Recompute it at full scale and compare it byte for byte too.
+cargo run --release --bin lab -- run figure4 --no-cache
+git diff --exit-code -- results/figure4.json results/figure4.txt
+
 echo "==> cargo test -q -p disklab --test lab_determinism trace_bytes"
 # Trace determinism: the instrumented event stream must be
 # byte-identical at any shard count.

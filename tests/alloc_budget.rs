@@ -1,19 +1,20 @@
 //! The allocation budget of the steady-state hot path is zero.
 //!
-//! The event core keeps every per-window buffer — calendar buckets,
+//! The event core keeps every per-window buffer — arrival queue,
 //! request slab, parent slab, completion batches, stats reservoir,
 //! thermal scratch — alive across calls, so once the structures have
 //! grown to the workload's high-water mark, serving another window
 //! must not touch the heap at all. This test pins that property with a
 //! counting global allocator: warm a RAID-5 storage system and a
-//! thermally-coupled `WindowedDrive` past the calendar ring's wrap
-//! (512 buckets x 5 ms = 2.56 s of simulated time), then assert that
-//! a long run of further windows performs **zero** heap allocations.
-//! A third subject pins the surrogate training sweep's per-point
-//! target reduction (`disklab::sweep::reduce_targets`) to the same
-//! budget once its scratch buffers are warm, and a fourth pins NDJSON
-//! trace recording: once its line buffer has held the longest line,
-//! `NdjsonRecorder` renders and writes events without touching the heap.
+//! thermally-coupled `WindowedDrive` through two simulated minutes,
+//! then assert that a long run of further windows performs **zero**
+//! heap allocations. A third subject pins the surrogate training
+//! sweep's per-point target reduction (`disklab::sweep::reduce_targets`)
+//! to the same budget once its scratch buffers are warm, a fourth pins
+//! NDJSON trace recording: once its line buffer has held the longest
+//! line, `NdjsonRecorder` renders and writes events without touching
+//! the heap. A fifth pins `StorageSystem::restore_state`, which hands
+//! the captured buffers to the rebuilt system and allocates nothing.
 //!
 //! Everything lives in one `#[test]` function: the counter is global,
 //! and the test harness runs sibling tests on other threads, which
@@ -78,12 +79,10 @@ fn trace(requests: u64, rate: f64, capacity: u64) -> Vec<Request> {
 
 /// Control-window width shared by both subjects (the fleet default).
 const WINDOW: f64 = 0.25;
-/// Warm-up windows: two minutes of simulated time. This must cover
-/// more than the calendar ring's first wrap (512 buckets x 5 ms =
-/// 2.56 s): per-bucket capacities and the stats reservoir grow to a
-/// *distribution-dependent* high-water mark, and the Poisson tail of
-/// events-per-bucket keeps nudging capacities up for many wraps
-/// before every bucket has seen its worst case.
+/// Warm-up windows: two minutes of simulated time. The queues, slabs
+/// and the stats reservoir grow to a *workload-dependent* high-water
+/// mark, and a long warm-up lets every one of them see its worst case
+/// before the measurement starts.
 const WARM_WINDOWS: u64 = 480;
 /// Windows served under the zero-allocation assertion.
 const MEASURED_WINDOWS: u64 = 40;
@@ -117,7 +116,7 @@ fn run_windows(
 fn steady_state_windows_allocate_nothing() {
     let spec = DiskSpec::era(2002, 1, Rpm::new(15_020.0));
 
-    // --- Subject 1: RAID-5 array (parity fan-out, slab, calendar). ---
+    // --- Subject 1: RAID-5 array (parity fan-out, slab, arrival queue). ---
     let mut sys = StorageSystem::new(
         SystemConfig::raid5(spec.clone(), 4, 64).expect("valid raid5 config"),
     )
@@ -332,4 +331,35 @@ fn steady_state_windows_allocate_nothing() {
     );
     assert_eq!(recorder.lines(), 1 + 64 * mix.len() as u64);
     assert!(recorder.error().is_none());
+
+    // --- Subject 5: restoring a checkpointed storage system. ---
+    // Capture a RAID-5 system between windows, with the next window's
+    // arrivals admitted but not yet served, then restore it: the
+    // arrival queue takes over the captured entry list's buffer and
+    // every other field moves in as captured.
+    let mut sys = StorageSystem::new(
+        SystemConfig::raid5(DiskSpec::era(2002, 1, Rpm::new(15_020.0)), 4, 64)
+            .expect("valid raid5 config"),
+    )
+    .expect("valid system");
+    let mut pending: VecDeque<Request> = trace(requests, rate, sys.logical_sectors()).into();
+    let next = run_windows(&mut sys, &mut pending, &mut out, 0, 8);
+    let end = Seconds::new((next + 1) as f64 * WINDOW);
+    while let Some(&r) = pending.front().filter(|r| r.arrival <= end) {
+        pending.pop_front();
+        sys.submit(r).expect("trace is in range");
+    }
+    let state = sys.capture_state();
+    let before = allocations();
+    let restored = StorageSystem::restore_state(state).expect("captured state is consistent");
+    let restore_allocs = allocations() - before;
+    assert_eq!(
+        restore_allocs, 0,
+        "StorageSystem::restore_state allocated {restore_allocs} times"
+    );
+    assert_eq!(restored.in_flight(), sys.in_flight());
+    assert!(
+        sys.in_flight() > 0,
+        "the captured state holds queued arrivals"
+    );
 }
