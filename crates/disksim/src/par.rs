@@ -8,7 +8,9 @@
 //! on. `disklab::engine` re-exports it. The fleet shards its epoch loop
 //! over hand-split contiguous chunks instead; the serial
 //! [`merge_runs_by`] here is how it turns its per-enclosure event runs
-//! back into one deterministic stream.
+//! back into one deterministic stream: one `sort_unstable` of 16-byte
+//! (key, run, position) entries in a buffer the fleet keeps across
+//! epochs.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -83,65 +85,58 @@ where
         .collect()
 }
 
-/// Streams the merge of pre-sorted runs through `emit`, one borrowed
-/// element at a time, in exactly the order of the *stable* sort of the
-/// runs' concatenation: on ties (`cmp` returns `Equal`) the element from
-/// the earlier run comes first, and within a run original order is
-/// kept. Empty runs are fine; each run must already be sorted under
-/// `cmp` (ascending).
+/// Maps `x` to a `u64` whose unsigned order is `f64::total_cmp`'s:
+/// positive values get the sign bit set, negative ones are inverted.
+pub fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
+/// Streams the elements of `runs` through `emit`, one borrowed element
+/// at a time, in exactly the order of the *stable* sort of the runs'
+/// concatenation by `key`: on equal keys the element from the earlier
+/// run comes first, and within a run original order is kept. Empty runs
+/// are fine, and a run need not be sorted.
 ///
-/// A binary min-heap holds one cursor per non-empty run, keyed on `cmp`
-/// of the run's current head and then on the run index, so each element
-/// costs O(log k) comparisons. Nothing is moved, copied, or collected:
-/// the caller keeps its runs (and their capacity) and decides what
-/// `emit` does with each element.
+/// Each element becomes one 16-byte entry in `entries`, its key above
+/// its run index above its position, so the entries are distinct and
+/// their `sort_unstable` order is that stable order: `key` runs once
+/// per element, the sort compares plain integers and needs no scratch
+/// buffer. `entries` is cleared
+/// first and keeps its capacity, so a caller that holds on to it
+/// allocates nothing once it has seen its largest batch. Nothing is
+/// moved or copied: the caller keeps its runs, and `emit` decides what
+/// to do with each element.
 ///
 /// This is the fleet's epoch-boundary event merge: the routing run and
-/// every enclosure's time-sorted run stream straight into the sink, in
-/// exactly the order a global stable time-sort of the concatenation
-/// would produce, whatever the shard count.
-pub fn merge_runs_by<T, F>(runs: &[&[T]], cmp: F, mut emit: impl FnMut(&T))
-where
-    F: Fn(&T, &T) -> std::cmp::Ordering,
-{
-    // Heap entries are (run, position of the run's head).
-    let mut heap: Vec<(usize, usize)> = Vec::with_capacity(runs.len());
-    let before = |heap: &[(usize, usize)], a: usize, b: usize| {
-        let ((ra, pa), (rb, pb)) = (heap[a], heap[b]);
-        cmp(&runs[ra][pa], &runs[rb][pb]).then(ra.cmp(&rb)) == std::cmp::Ordering::Less
-    };
-    let sift_down = |heap: &mut [(usize, usize)], mut at: usize| loop {
-        let (left, right) = (2 * at + 1, 2 * at + 2);
-        let mut least = at;
-        if left < heap.len() && before(heap, left, least) {
-            least = left;
-        }
-        if right < heap.len() && before(heap, right, least) {
-            least = right;
-        }
-        if least == at {
-            return;
-        }
-        heap.swap(at, least);
-        at = least;
-    };
-    heap.extend(
-        runs.iter()
-            .enumerate()
-            .filter(|(_, run)| !run.is_empty())
-            .map(|(r, _)| (r, 0)),
-    );
-    for at in (0..heap.len() / 2).rev() {
-        sift_down(&mut heap, at);
+/// every enclosure's run stream straight into the sink, in exactly the
+/// order a global stable time-sort of the concatenation would produce,
+/// whatever the shard count.
+///
+/// # Panics
+///
+/// Panics if there are more than `u32::MAX` runs or a run holds more
+/// than `u32::MAX` elements.
+pub fn merge_runs_by<T>(
+    runs: &[&[T]],
+    key: impl Fn(&T) -> u64,
+    entries: &mut Vec<u128>,
+    mut emit: impl FnMut(&T),
+) {
+    entries.clear();
+    entries.reserve(runs.iter().map(|run| run.len()).sum());
+    for (r, run) in runs.iter().enumerate() {
+        let r = u32::try_from(r).expect("run index fits in 32 bits");
+        assert!(u32::try_from(run.len()).is_ok(), "run length fits in 32 bits");
+        entries.extend(
+            run.iter()
+                .enumerate()
+                .map(|(p, e)| (u128::from(key(e)) << 64) | (u128::from(r) << 32) | p as u128),
+        );
     }
-    while let Some(&(r, p)) = heap.first() {
-        emit(&runs[r][p]);
-        if p + 1 < runs[r].len() {
-            heap[0].1 = p + 1;
-        } else {
-            heap.swap_remove(0);
-        }
-        sift_down(&mut heap, 0);
+    entries.sort_unstable();
+    for &entry in entries.iter() {
+        emit(&runs[(entry >> 32) as u32 as usize][entry as u32 as usize]);
     }
 }
 
@@ -180,10 +175,10 @@ mod tests {
     }
 
     /// Collects `merge_runs_by` into a vector of copies.
-    fn merged<T: Copy>(runs: &[Vec<T>], cmp: impl Fn(&T, &T) -> std::cmp::Ordering) -> Vec<T> {
+    fn merged<T: Copy>(runs: &[Vec<T>], key: impl Fn(&T) -> u64) -> Vec<T> {
         let runs: Vec<&[T]> = runs.iter().map(Vec::as_slice).collect();
         let mut out = Vec::new();
-        merge_runs_by(&runs, cmp, |x| out.push(*x));
+        merge_runs_by(&runs, key, &mut Vec::new(), |x| out.push(*x));
         out
     }
 
@@ -191,20 +186,21 @@ mod tests {
     fn merge_matches_stable_sort_with_ties_and_empty_runs() {
         // Keys repeat across runs; payloads record (run, slot) so the
         // stable tie order (earlier run first, then within-run order) is
-        // observable.
+        // observable. The last run is unsorted.
         let runs: Vec<Vec<(u32, usize, usize)>> = vec![
             vec![(1, 0, 0), (3, 0, 1), (3, 0, 2), (9, 0, 3)],
             vec![],
             vec![(0, 2, 0), (3, 2, 1), (9, 2, 2)],
             vec![(3, 3, 0)],
             vec![],
+            vec![(9, 5, 0), (3, 5, 1), (0, 5, 2)],
         ];
         let mut expected: Vec<(u32, usize, usize)> = runs.concat();
         expected.sort_by_key(|e| e.0); // sort_by_key is stable
-        assert_eq!(merged(&runs, |a, b| a.0.cmp(&b.0)), expected);
-        assert_eq!(merged(&[] as &[Vec<u8>], |a, b| a.cmp(b)), Vec::<u8>::new());
+        assert_eq!(merged(&runs, |e| u64::from(e.0)), expected);
+        assert_eq!(merged(&[] as &[Vec<u8>], |&x| u64::from(x)), Vec::<u8>::new());
         assert_eq!(
-            merged(&[vec![], vec![]] as &[Vec<u8>], |a, b| a.cmp(b)),
+            merged(&[vec![], vec![]] as &[Vec<u8>], |&x| u64::from(x)),
             Vec::<u8>::new()
         );
     }
@@ -213,10 +209,46 @@ mod tests {
     fn merge_borrows_and_leaves_runs_intact() {
         let a = vec![String::from("a"), String::from("c")];
         let b = vec![String::from("b")];
+        let mut entries = Vec::new();
         let mut seen = Vec::new();
-        merge_runs_by(&[&a, &b], |x, y| x.cmp(y), |s| seen.push(s.clone()));
+        let first_byte = |s: &String| u64::from(s.as_bytes()[0]);
+        merge_runs_by(&[&a, &b], first_byte, &mut entries, |s| seen.push(s.clone()));
         assert_eq!(seen, ["a", "b", "c"]);
         assert_eq!(a.len() + b.len(), 3, "the runs are only borrowed");
+        // A second merge reuses the entry buffer without growing it.
+        let capacity = entries.capacity();
+        seen.clear();
+        merge_runs_by(&[&b, &a], first_byte, &mut entries, |s| seen.push(s.clone()));
+        assert_eq!(seen, ["a", "b", "c"]);
+        assert_eq!(entries.capacity(), capacity);
+    }
+
+    #[test]
+    fn total_order_key_orders_like_total_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -f64::MAX,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -219,10 +219,11 @@ proptest! {
         prop_assert!(heap.pop().is_none());
     }
 
-    // The fleet's epoch boundary replaces one global stable time-sort
-    // with a k-way merge of pre-sorted per-enclosure runs. The two must
-    // agree byte-for-byte — including exact ties (same `t` in different
-    // runs must keep earlier-run-first order) and empty runs.
+    // The fleet's epoch boundary orders its per-enclosure runs by
+    // sorting (time key, run, position) entries instead of stable-sorting
+    // the events themselves. The two must agree byte-for-byte —
+    // including exact ties (same `t` in different runs must keep
+    // earlier-run-first order) and empty runs.
     #[test]
     fn kway_merge_equals_global_stable_sort(
         raw in prop::collection::vec(prop::collection::vec(0u8..6, 0..40), 0..9),
@@ -245,7 +246,8 @@ proptest! {
         expected.sort_by(|a, b| a.0.total_cmp(&b.0)); // the old global stable sort
         let slices: Vec<&[(f64, usize, usize)]> = runs.iter().map(Vec::as_slice).collect();
         let mut got = Vec::with_capacity(expected.len());
-        disksim::par::merge_runs_by(&slices, |a, b| a.0.total_cmp(&b.0), |e| got.push(*e));
+        let key = |e: &(f64, usize, usize)| disksim::par::total_order_key(e.0);
+        disksim::par::merge_runs_by(&slices, key, &mut Vec::new(), |e| got.push(*e));
         prop_assert_eq!(got, expected);
     }
 

@@ -11,8 +11,10 @@
 //! the O(log n)-per-request routing commit and the per-level airflow /
 //! coordinator commit in enclosure order. When tracing, the routing run
 //! and the per-enclosure event runs then stream into the sink through
-//! the serial heap merge `disksim::par::merge_runs_by`, which emits
-//! exactly the order of a global stable time-sort. Every
+//! the serial merge `disksim::par::merge_runs_by` — one sort of
+//! 16-byte (time key, run, position) entries in a buffer the fleet
+//! keeps across epochs — which emits exactly the order of a global
+//! stable time-sort. Every
 //! cross-enclosure interaction reads epoch-start state and commits in
 //! enclosure order, which is why the run is byte-identical at any
 //! shard count.
@@ -742,6 +744,8 @@ pub struct Fleet {
     hot: FleetHotState,
     route: RoutingScratch,
     routing_run: Vec<diskobs::TimedEvent>,
+    /// The traced merge's (time key, run, position) entries.
+    merge_entries: Vec<u128>,
 }
 
 /// Complete dynamic state of a [`Fleet`], captured between sync epochs
@@ -846,6 +850,7 @@ impl Fleet {
             hot: FleetHotState::default(),
             route: RoutingScratch::default(),
             routing_run: Vec::new(),
+            merge_entries: Vec::new(),
         })
     }
 
@@ -1175,16 +1180,22 @@ impl Fleet {
         self.coordinator.commit_all(&self.hot.proposals);
 
         if ctx.sink_enabled {
-            // Serial k-way merge of the pre-sorted runs straight into
-            // the sink (routing run first, then each bay's run, so equal
-            // timestamps keep that order, exactly as a global stable
-            // time-sort would): the bytes are shard-independent, and
-            // the runs are borrowed, then cleared with their capacity
-            // kept for the next epoch. It counts as serial time.
+            // Serial merge of the runs straight into the sink (routing
+            // run first, then each bay's run, so equal timestamps keep
+            // that order, exactly as a global stable time-sort would):
+            // the bytes are shard-independent, the runs are borrowed,
+            // then cleared with their capacity kept for the next epoch,
+            // and so are the merge's sort entries. It counts as serial
+            // time.
             let mut runs: Vec<&[diskobs::TimedEvent]> = Vec::with_capacity(n + 1);
             runs.push(&routing_run);
             runs.extend(self.enclosures.iter().map(|e| e.run.as_slice()));
-            disksim::par::merge_runs_by(&runs, |a, b| a.t.total_cmp(&b.t), |e| sink.record(e));
+            disksim::par::merge_runs_by(
+                &runs,
+                |e| disksim::par::total_order_key(e.t),
+                &mut self.merge_entries,
+                |e| sink.record(e),
+            );
             routing_run.clear();
             for e in &mut self.enclosures {
                 e.run.clear();
@@ -1547,6 +1558,7 @@ impl Fleet {
             hot: FleetHotState::default(),
             route: RoutingScratch::default(),
             routing_run: Vec::new(),
+            merge_entries: Vec::new(),
         })
     }
 }

@@ -69,15 +69,17 @@ pub struct ObsBenchReport {
 /// What moved the committed recording numbers, with the same-host
 /// parent pair a speedup claim needs. The sink measured here is a
 /// buffer, which renders nothing, so of the two recording-path changes
-/// only the merge reaches it; the tree-free encoder shows on NDJSON
+/// only the merge reaches it; the float writer shows on NDJSON
 /// recorders (`lab trace`, the end-to-end recorded-storm benchmark).
-const OBS_RECORDING_NOTES: &str = "recording into a buffer sink: per-bay event runs now stream \
-    through a serial borrowing heap merge instead of a pairwise merge that copied every \
-    event into a fresh vector per level; rendering is untouched here (NDJSON recorders \
-    gain the tree-free encoder). Parent abd843f on the same host, full run just before \
-    this one: fleet_recording_wall_ms 52.8, recording_overhead_pct +105.6 (null 25.7 ms). \
-    Three interleaved --quick pairs, recording minus null-sink time, parent vs this tree: \
-    25.8/30.8/21.2 ms vs 19.9/17.7/18.2 ms.";
+const OBS_RECORDING_NOTES: &str = "recording into a buffer sink: the fleet's epoch-boundary \
+    merge is one sort_unstable of 16-byte (time key, run, position) entries in a buffer the \
+    fleet keeps across epochs, instead of a binary heap that sifted once per event. A buffer \
+    sink renders nothing, so the Ryu float writer (the other half of the change) shows only on \
+    NDJSON recorders (lab trace, perfbench storm_recorded). Parent fcfae79 on the same host, \
+    full run just before this one: fleet_recording_wall_ms 32.1, recording_overhead_pct \
+    +116.9 (null 14.8 ms). Six alternating --quick pairs, recording minus null-sink time, \
+    parent vs this tree: 12.4/13.4/11.9/15.5/14.7/14.0 ms vs 10.7/10.3/10.7/12.3/12.4/12.5 ms \
+    (6/6 won; median 13.7 -> 11.5 ms).";
 
 /// CPU nanoseconds this process has consumed.
 ///

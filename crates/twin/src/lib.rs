@@ -53,5 +53,5 @@ pub use checkpoint::{
 };
 pub use error::TwinError;
 pub use protocol::{CheckpointMsg, ErrorBody, ErrorMsg, OkMsg, QueryMsg, StatusMsg};
-pub use server::{query_line, ServerConfig, TwinServer};
+pub use server::{query_line, ServerConfig, TwinServer, MAX_QUERY_LINE_BYTES};
 pub use twin::{whatif, ForkOutcome, Twin, TwinConfig, TwinState, WhatIf, WhatIfReport};

@@ -16,7 +16,7 @@ use crate::protocol::{CheckpointMsg, ErrorMsg, OkMsg, QueryMsg, StatusMsg};
 use crate::twin::{whatif, Twin, TwinState, WhatIf};
 use diskobs::{LogHistogram, Registry};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -319,8 +319,13 @@ fn reply_err(stream: &mut TcpStream, e: &TwinError) -> bool {
     reply(stream, &ErrorMsg::from_error(e))
 }
 
+/// The longest query line a connection may send. Real queries are under
+/// 1 KiB; a longer line gets one `bad_query` answer and the connection
+/// closes, so no client can grow the server's memory without bound.
+pub const MAX_QUERY_LINE_BYTES: u64 = 1 << 20;
+
 /// One client connection: read a line, answer a line, until EOF,
-/// error, timeout, or shutdown.
+/// error, timeout, oversized line, or shutdown.
 fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
     let io_timeout = Duration::from_millis(shared.cfg.query_timeout_ms.max(100));
     // A silent or stalled peer times the socket out; the handler exits
@@ -332,14 +337,24 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut bytes = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        bytes.clear();
+        match (&mut reader).take(MAX_QUERY_LINE_BYTES).read_until(b'\n', &mut bytes) {
             Ok(0) => return,          // client closed
             Ok(_) => {}
             Err(_) => return,         // timeout or reset
         }
+        if bytes.last() != Some(&b'\n') && bytes.len() as u64 == MAX_QUERY_LINE_BYTES {
+            reply_err(
+                &mut writer,
+                &TwinError::BadQuery(format!(
+                    "query line longer than {MAX_QUERY_LINE_BYTES} bytes"
+                )),
+            );
+            return;
+        }
+        let line = String::from_utf8_lossy(&bytes);
         if line.trim().is_empty() {
             continue;
         }

@@ -6,7 +6,7 @@
 use disksim::{DiskSpec, Request, RequestKind, StorageSystem, SystemConfig};
 use disktwin::{
     decode, encode, read_checkpoint, write_checkpoint, CheckpointError, Twin, TwinConfig,
-    STATE_VERSION,
+    CHECKPOINT_MAGIC, STATE_VERSION,
 };
 use proptest::prelude::*;
 use units::{Rpm, Seconds};
@@ -237,6 +237,32 @@ fn corrupted_checkpoints_are_rejected_before_parsing() {
         Err(CheckpointError::BadHeader(_))
     ));
     assert!(matches!(decode(b""), Err(CheckpointError::BadHeader(_))));
+}
+
+#[test]
+fn deeply_nested_bodies_are_refused_without_overflowing_the_stack() {
+    // A valid header (length and FNV-1a checksum match), so decode
+    // reaches the JSON parser with 100,000 unclosed `[`.
+    let body = "[".repeat(100_000);
+    let checksum = body.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let mut bytes = format!(
+        "{CHECKPOINT_MAGIC} {STATE_VERSION} {} {checksum:016x}\n",
+        body.len()
+    )
+    .into_bytes();
+    bytes.extend_from_slice(body.as_bytes());
+    let decoded = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || decode(&bytes).map(drop))
+        .expect("thread spawns")
+        .join()
+        .expect("decode returns instead of overflowing");
+    assert!(
+        matches!(decoded, Err(CheckpointError::BadBody(_))),
+        "{decoded:?}"
+    );
 }
 
 #[test]

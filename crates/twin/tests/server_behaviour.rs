@@ -1,10 +1,11 @@
 //! The server contract under concurrency: pinned queries are
 //! deterministic however many clients race, misbehaving clients
 //! (mid-query disconnects, slow readers) never stall the live twin,
-//! fork resources do not leak, and the bounded queue answers
-//! `overloaded` instead of queueing unboundedly.
+//! fork resources do not leak, the bounded queue answers `overloaded`
+//! instead of queueing unboundedly, and hostile lines (deeply nested,
+//! oversized) get typed answers without taking the server down.
 
-use disktwin::{query_line, ServerConfig, Twin, TwinConfig, TwinServer};
+use disktwin::{query_line, ServerConfig, Twin, TwinConfig, TwinServer, MAX_QUERY_LINE_BYTES};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -180,4 +181,64 @@ fn malformed_requests_get_typed_errors_and_shutdown_checkpoints() {
     let final_state = disktwin::read_checkpoint(&ckpt).expect("final checkpoint readable");
     assert!(final_state.epoch() >= 1, "the final checkpoint is warm");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn nested_and_oversized_lines_get_typed_errors_and_the_server_keeps_answering() {
+    let server = start_server(ServerConfig {
+        epoch_interval_ms: 1,
+        ..ServerConfig::default()
+    });
+    wait_for_epoch(&server, 1);
+    let addr = server.addr();
+    let mut answer = String::new();
+
+    // 20,000 nested `[` on one line: a typed parse error, not a stack
+    // overflow, and the same connection answers its next query.
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(QUERY_TIMEOUT)).expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    writer
+        .write_all(format!("{}\n", "[".repeat(20_000)).as_bytes())
+        .expect("send");
+    reader.read_line(&mut answer).expect("answer");
+    assert!(answer.contains("\"bad_query\""), "deep nesting is typed: {answer}");
+    writer.write_all(b"{\"cmd\":\"status\"}\n").expect("send");
+    answer.clear();
+    reader.read_line(&mut answer).expect("answer");
+    assert!(answer.contains("\"enclosures\":2"), "still answering: {answer}");
+
+    // A line past the cap: one typed answer, then the server closes the
+    // connection instead of buffering the rest.
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(QUERY_TIMEOUT)).expect("timeout");
+    let mut flood = stream.try_clone().expect("clone");
+    let flooder = std::thread::spawn(move || {
+        let chunk = vec![b' '; 64 << 10];
+        let mut sent = 0u64;
+        // Twice the cap, with no newline; the server stops reading.
+        while sent < 2 * MAX_QUERY_LINE_BYTES && flood.write_all(&chunk).is_ok() {
+            sent += chunk.len() as u64;
+        }
+    });
+    let mut reader = BufReader::new(stream);
+    answer.clear();
+    reader.read_line(&mut answer).expect("an answer before the close");
+    assert!(
+        answer.contains("\"bad_query\"") && answer.contains("longer than"),
+        "an oversized line is typed: {answer}"
+    );
+    answer.clear();
+    assert!(
+        matches!(reader.read_line(&mut answer), Ok(0) | Err(_)),
+        "the server closes the connection: {answer}"
+    );
+    flooder.join().expect("flooder exits");
+
+    // New connections are served as before.
+    let status = query_line(&addr.to_string(), r#"{"cmd":"status"}"#, QUERY_TIMEOUT)
+        .expect("answers");
+    assert!(status.contains("\"enclosures\":2"), "status after abuse: {status}");
+    server.stop();
 }

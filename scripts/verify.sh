@@ -14,6 +14,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --release -q -p serde --test float_oracle -- --ignored"
+# The float writer behind every JSON output (traces, checkpoints,
+# results/, BENCH_*.json) against the core::fmt rule it replaced, on
+# 16M random bit patterns. It is #[ignore]d in the debug run above,
+# which covers the fixed edge cases and 40k random values.
+cargo test --release -q -p serde --test float_oracle -- --ignored
+
 echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml"
 # The end-to-end benchmark is a Cargo workspace of its own that builds
 # against crates/* by path, so the steps above never compile it: a
