@@ -1,6 +1,7 @@
 //! Response-time statistics with the paper's CDF buckets.
 
 use crate::request::Completion;
+use diskobs::Histogram;
 use serde::{Deserialize, Serialize};
 use units::Seconds;
 
@@ -8,7 +9,12 @@ use units::Seconds;
 /// 5, 10, 20, 40, 60, 90, 120, 150, 200, and "200+".
 pub const CDF_BUCKETS_MS: [f64; 9] = [5.0, 10.0, 20.0, 40.0, 60.0, 90.0, 120.0, 150.0, 200.0];
 
-/// Aggregated response-time statistics.
+/// Aggregated response-time statistics: a [`diskobs::Histogram`] of
+/// response times in milliseconds, typed in [`Seconds`].
+///
+/// Counts, mean and max are exact. The Figure 4 edges are histogram
+/// bucket boundaries, so [`Self::cdf`] is exact too, and percentiles
+/// are within 1/128 (0.79%) of the exact sorted value at any count.
 ///
 /// # Examples
 ///
@@ -27,28 +33,8 @@ pub const CDF_BUCKETS_MS: [f64; 9] = [5.0, 10.0, 20.0, 40.0, 60.0, 90.0, 120.0, 
 /// assert!((cdf[2].1 - 0.75).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct ResponseStats {
-    count: u64,
-    sum: f64,
-    sum_sq: f64,
-    max: f64,
-    /// Count of samples ≤ each bucket edge, plus a final overflow count.
-    bucket_counts: [u64; CDF_BUCKETS_MS.len() + 1],
-    /// Reservoir of samples for percentile estimation.
-    samples: Vec<f64>,
-}
-
-/// Reservoir size for percentile estimation.
-const RESERVOIR: usize = 65_536;
-
-/// The splitmix64 mixer: a full-period bijection on `u64` used as the
-/// reservoir's deterministic random source.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
+#[serde(transparent)]
+pub struct ResponseStats(Histogram);
 
 impl ResponseStats {
     /// Creates empty statistics.
@@ -57,31 +43,12 @@ impl ResponseStats {
     }
 
     /// Records one response time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `response` is negative or not finite.
     pub fn record(&mut self, response: Seconds) {
-        let ms = response.to_millis();
-        self.count += 1;
-        self.sum += ms;
-        self.sum_sq += ms * ms;
-        self.max = self.max.max(ms);
-        let idx = CDF_BUCKETS_MS
-            .iter()
-            .position(|&edge| ms <= edge)
-            .unwrap_or(CDF_BUCKETS_MS.len());
-        self.bucket_counts[idx] += 1;
-        if self.samples.len() < RESERVOIR {
-            self.samples.push(ms);
-        } else {
-            // Vitter's Algorithm R: sample number `count` replaces a
-            // uniformly-drawn slot in 0..count, surviving only when the
-            // slot lands inside the reservoir — so every sample ends up
-            // retained with equal probability RESERVOIR/count. The
-            // "random" draw is splitmix64 keyed on the running count,
-            // keeping equal runs bit-identical regardless of threading.
-            let j = (splitmix64(self.count) % self.count) as usize;
-            if j < RESERVOIR {
-                self.samples[j] = ms;
-            }
-        }
+        self.0.record(response.to_millis());
     }
 
     /// Folds a batch of completions in.
@@ -98,143 +65,54 @@ impl ResponseStats {
         s
     }
 
-    /// Folds another statistics object into this one, deterministically.
-    ///
-    /// Counts, moments, the max, and the CDF buckets merge exactly.
-    /// While the combined reservoirs fit under the cap they hold every
-    /// sample either side saw, so appending keeps percentiles *exact*
-    /// (the sorted multiset equals the global stream's). Past the cap,
-    /// each side keeps a share of the reservoir proportional to the
-    /// population it represents, chosen by a partial Fisher–Yates
-    /// shuffle keyed on splitmix64 over the two counts — a pure
-    /// function of the inputs, so folding per-enclosure statistics in
-    /// enclosure order gives bit-identical results at any shard count.
+    /// Folds another statistics object into this one. Counts, min and
+    /// max merge exactly and sums add, so folding per-enclosure
+    /// statistics in enclosure order is bit-identical at any shard
+    /// count.
     pub fn merge(&mut self, other: &ResponseStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let (n_self, n_other) = (self.count, other.count);
-        let mut state = splitmix64(n_self.rotate_left(32) ^ n_other);
-        self.count += n_other;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-        self.max = self.max.max(other.max);
-        for (mine, theirs) in self.bucket_counts.iter_mut().zip(&other.bucket_counts) {
-            *mine += theirs;
-        }
-        if self.samples.len() + other.samples.len() <= RESERVOIR {
-            self.samples.extend_from_slice(&other.samples);
-            return;
-        }
-        // Proportional allocation, with either side's unused slack
-        // granted to the other so the reservoir stays as full as it can.
-        let total = (n_self + n_other) as f64;
-        let keep_self = ((RESERVOIR as f64 * n_self as f64 / total).round() as usize)
-            .min(self.samples.len());
-        let keep_other = (RESERVOIR - keep_self).min(other.samples.len());
-        let keep_self = (RESERVOIR - keep_other).min(self.samples.len());
-        let mut draw = |bound: usize| {
-            state = splitmix64(state);
-            (state % bound as u64) as usize
-        };
-        for i in 0..keep_self {
-            let j = i + draw(self.samples.len() - i);
-            self.samples.swap(i, j);
-        }
-        self.samples.truncate(keep_self);
-        let mut theirs = other.samples.clone();
-        for i in 0..keep_other {
-            let j = i + draw(theirs.len() - i);
-            theirs.swap(i, j);
-        }
-        theirs.truncate(keep_other);
-        self.samples.extend_from_slice(&theirs);
+        self.0.merge(&other.0);
     }
 
     /// Number of samples.
     pub fn count(&self) -> u64 {
-        self.count
+        self.0.count()
     }
 
     /// Mean response time.
     pub fn mean(&self) -> Seconds {
-        if self.count == 0 {
-            Seconds::ZERO
-        } else {
-            Seconds::from_millis(self.sum / self.count as f64)
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> Seconds {
-        if self.count < 2 {
-            return Seconds::ZERO;
-        }
-        let n = self.count as f64;
-        let var = (self.sum_sq - self.sum * self.sum / n) / (n - 1.0);
-        Seconds::from_millis(var.max(0.0).sqrt())
+        Seconds::from_millis(self.0.mean())
     }
 
     /// Largest observed response time.
     pub fn max(&self) -> Seconds {
-        Seconds::from_millis(self.max)
+        Seconds::from_millis(self.0.max())
     }
 
     /// Cumulative distribution at the Figure 4 bucket edges: pairs of
     /// `(edge_ms, fraction_at_or_below)`. A final `(f64::INFINITY, 1.0)`
     /// entry closes the distribution ("200+").
     pub fn cdf(&self) -> Vec<(f64, f64)> {
-        let mut out = Vec::with_capacity(CDF_BUCKETS_MS.len() + 1);
-        let total = self.count.max(1) as f64;
-        let mut acc = 0u64;
-        for (i, &edge) in CDF_BUCKETS_MS.iter().enumerate() {
-            acc += self.bucket_counts[i];
-            out.push((edge, acc as f64 / total));
-        }
-        out.push((f64::INFINITY, 1.0));
-        out
+        self.0.cdf(&CDF_BUCKETS_MS)
     }
 
-    /// Approximate percentile (0–100) from the sample reservoir.
+    /// Percentile `p` (0–100) of the response times; see
+    /// [`Histogram::percentile`].
     ///
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 100]`.
     pub fn percentile(&self, p: f64) -> Seconds {
-        let mut scratch = Vec::new();
-        self.percentile_with(&mut scratch, p)
+        Seconds::from_millis(self.0.percentile(p))
     }
 
-    /// Like [`ResponseStats::percentile`], but sorts the reservoir into
-    /// a caller-provided scratch buffer — repeated percentile queries
-    /// (per-epoch fleet tail-latency tracking) reuse one sort buffer
-    /// instead of cloning up to 64 K samples per call.
+    /// Checks the invariants of statistics read back from outside (a
+    /// checkpoint); see [`Histogram::validate`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile_with(&self, scratch: &mut Vec<f64>, p: f64) -> Seconds {
-        assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        if self.samples.is_empty() {
-            return Seconds::ZERO;
-        }
-        scratch.clear();
-        scratch.extend_from_slice(&self.samples);
-        scratch.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-        let idx = ((p / 100.0) * (scratch.len() - 1) as f64).round() as usize;
-        Seconds::from_millis(scratch[idx])
-    }
-
-    /// The retained reservoir samples, in milliseconds. A uniform
-    /// subsample of the full response stream (exact below the reservoir
-    /// cap), suitable for re-bucketing into coarser structures such as
-    /// `diskobs::LogHistogram` without another pass over completions.
-    pub fn samples_ms(&self) -> &[f64] {
-        &self.samples
+    /// A message naming the first broken invariant.
+    pub fn validate(&self) -> Result<(), String> {
+        self.0.validate()
     }
 }
 
@@ -243,7 +121,7 @@ impl core::fmt::Display for ResponseStats {
         write!(
             f,
             "{} requests, mean {:.2} ms, p95 {:.2} ms, max {:.2} ms",
-            self.count,
+            self.count(),
             self.mean().to_millis(),
             self.percentile(95.0).to_millis(),
             self.max().to_millis()
@@ -272,10 +150,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_std() {
+    fn mean_and_max() {
         let s = stats_of(&[10.0, 20.0, 30.0]);
         assert!((s.mean().to_millis() - 20.0).abs() < 1e-12);
-        assert!((s.std_dev().to_millis() - 10.0).abs() < 1e-9);
         assert!((s.max().to_millis() - 30.0).abs() < 1e-12);
     }
 
@@ -321,29 +198,24 @@ mod tests {
 
     #[test]
     fn percentiles_stay_unbiased_past_the_reservoir_cap() {
-        // Three times the reservoir size, fed as an increasing ramp: the
-        // worst case for the old scheme, which stopped admitting late
-        // (large) samples and so dragged every percentile low. Algorithm R
-        // keeps each sample with equal probability, so the reservoir
-        // percentiles must track the true ramp percentiles within a few
-        // percent even well past the cap.
-        let n = 3 * RESERVOIR as u64;
+        // Three times the 65,536 samples the statistics once kept as a
+        // reservoir, fed as an increasing ramp: the worst case for a
+        // subsample, which must admit late (large) samples to stay
+        // unbiased. The histogram keeps every sample, so each
+        // percentile stays within 1/128 of the exact sorted value.
+        let n = 3 * 65_536_u64;
         let mut s = ResponseStats::new();
         for i in 1..=n {
             s.record(Seconds::from_millis(i as f64));
         }
         for p in [25.0, 50.0, 75.0, 90.0, 99.0] {
-            let truth = p / 100.0 * n as f64;
+            let exact = ((p / 100.0) * (n - 1) as f64).round() + 1.0;
             let got = s.percentile(p).to_millis();
-            let err = (got - truth).abs() / n as f64;
             assert!(
-                err < 0.02,
-                "p{p}: reservoir said {got}, truth {truth} ({:.1}% off)",
-                err * 100.0
+                (got - exact).abs() <= exact / 128.0,
+                "p{p}: histogram said {got}, exact {exact}"
             );
         }
-        // And the draw sequence is a pure function of the count, so a
-        // second identical run reproduces the reservoir exactly.
         let mut again = ResponseStats::new();
         for i in 1..=n {
             again.record(Seconds::from_millis(i as f64));
@@ -353,6 +225,8 @@ mod tests {
 
     #[test]
     fn merge_below_the_cap_is_exact() {
+        // Merging adds bucket counts, so a merged statistic answers
+        // every query exactly as one pass over the whole stream does.
         let values: Vec<f64> = (1..=1000).map(|i| (i as f64 * 7.3) % 211.0 + 0.5).collect();
         let global = stats_of(&values);
         let mut merged = ResponseStats::new();
@@ -360,43 +234,12 @@ mod tests {
             merged.merge(&stats_of(chunk));
         }
         assert_eq!(merged.count(), global.count());
-        assert_eq!(merged.bucket_counts, global.bucket_counts);
+        assert_eq!(merged.cdf(), global.cdf());
         assert_eq!(merged.max(), global.max());
-        // Below the cap the merged reservoir is the whole stream, so
-        // every percentile is exactly the global stream's.
         for p in [0.0, 25.0, 50.0, 95.0, 99.0, 100.0] {
             assert_eq!(merged.percentile(p), global.percentile(p), "p{p}");
         }
         assert!((merged.mean().to_millis() - global.mean().to_millis()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_past_the_cap_is_deterministic_and_proportional() {
-        let ramp = |n: u64, scale: f64| {
-            let mut s = ResponseStats::new();
-            for i in 1..=n {
-                s.record(Seconds::from_millis(i as f64 * scale));
-            }
-            s
-        };
-        let big = ramp(2 * RESERVOIR as u64, 1.0);
-        let small = ramp(RESERVOIR as u64 / 2, 1.0);
-        let mut once = big.clone();
-        once.merge(&small);
-        let mut again = big.clone();
-        again.merge(&small);
-        assert_eq!(once, again, "merge must be a pure function of its inputs");
-        assert_eq!(once.samples.len(), RESERVOIR);
-        assert_eq!(once.count(), big.count() + small.count());
-        // The combined multiset holds 2.5R values; its median m solves
-        // m + R/2 = 1.25R, i.e. m = 0.75R. The subsampled reservoir
-        // should land within a few percent.
-        let truth = 0.75 * RESERVOIR as f64;
-        let got = once.percentile(50.0).to_millis();
-        assert!(
-            (got - truth).abs() / truth < 0.05,
-            "median {got} vs truth {truth}"
-        );
     }
 
     #[test]

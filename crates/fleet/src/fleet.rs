@@ -1286,7 +1286,7 @@ impl Fleet {
 
     /// Completions folded into [`Self::stats`] so far: each bay's count,
     /// summed. Equal to `self.stats().count()` (merging adds counts)
-    /// without merging and cloning every bay's reservoir.
+    /// without merging every bay's histogram.
     pub fn stats_count(&self) -> u64 {
         self.enclosures.iter().map(|e| e.stats.count()).sum()
     }
@@ -1495,9 +1495,10 @@ impl Fleet {
     /// # Errors
     ///
     /// Rejects inconsistent states (mismatched enclosure / airflow /
-    /// coordinator sizes, degenerate windows) and propagates simulator
-    /// restore failures — the checks that catch a corrupted checkpoint
-    /// body whose JSON still parses.
+    /// coordinator sizes, degenerate windows, response statistics whose
+    /// counts, span or extremes do not hold together) and propagates
+    /// simulator restore failures — the checks that catch a corrupted
+    /// checkpoint body whose JSON still parses.
     pub fn restore_state(state: FleetState) -> Result<Self, FleetError> {
         if state.enclosures.is_empty() {
             return Err(FleetError::Config("fleet state has no enclosures".into()));
@@ -1536,7 +1537,13 @@ impl Fleet {
         let enclosures = state
             .enclosures
             .into_iter()
-            .map(Enclosure::restore_state)
+            .enumerate()
+            .map(|(i, e)| {
+                e.stats.validate().map_err(|msg| {
+                    FleetError::Config(format!("enclosure {i} response statistics: {msg}"))
+                })?;
+                Enclosure::restore_state(e)
+            })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             enclosures,

@@ -330,12 +330,11 @@ impl Suite {
 }
 
 /// `lab bench [<suite>...]`: measures each suite in order and prints its
-/// report as the JSON a full run writes. Only after every suite is
-/// measured does a quick run gate the reports against the committed
-/// baselines, or a full run write them — the sim and obs suites read
-/// the committed files while they measure.
+/// report as the JSON a full run writes. A full run writes each report
+/// as soon as it is measured; a quick run gates every report against
+/// the committed baselines once all are measured.
 pub fn run(suites: &[&Suite], quick: bool) -> Result<(), LabError> {
-    let mut reports = Vec::new();
+    let mut checks = Vec::new();
     for suite in suites {
         diskobs::logger::info(&format!(
             "bench {} ({})",
@@ -346,20 +345,16 @@ pub fn run(suites: &[&Suite], quick: bool) -> Result<(), LabError> {
         let json =
             serde_json::to_string_pretty(&report).map_err(|e| LabError::Parse(e.to_string()))?;
         println!("{json}");
-        reports.push((suite, report, json));
+        if quick {
+            checks.extend(suite.gate_checks(&report)?);
+        } else {
+            let path = workspace_root()?.join(suite.file);
+            std::fs::write(&path, json + "\n")?;
+            diskobs::logger::info(&format!("wrote {}", path.display()));
+        }
     }
     if quick {
-        let mut checks = Vec::new();
-        for (suite, report, _) in &reports {
-            checks.extend(suite.gate_checks(report)?);
-        }
-        return gate_against_baselines(&checks);
-    }
-    let root = workspace_root()?;
-    for (suite, _, json) in reports {
-        let path = root.join(suite.file);
-        std::fs::write(&path, json + "\n")?;
-        diskobs::logger::info(&format!("wrote {}", path.display()));
+        gate_against_baselines(&checks)?;
     }
     Ok(())
 }

@@ -1,5 +1,5 @@
 //! Observability suite: the fleet kernel under a null sink against a
-//! recording sink, plus kernel numbers diffed against the baselines.
+//! recording sink.
 
 use crate::{registry, LabError, Scale};
 use diskfleet::Fleet;
@@ -12,18 +12,14 @@ use units::Rpm;
 
 use super::fleet::{fleet_bench_trace, rack_config, FLEET_BENCH_ENCLOSURES};
 use super::thermal::be_steps_per_sec;
-use super::{baseline_field, Provenance};
+use super::Provenance;
 
 /// What `lab bench` measured about instrumentation overhead. A full run
 /// writes this to `BENCH_obs.json` at the workspace root.
 ///
-/// The `baseline_*` / `*_delta_pct` fields compare against the numbers
-/// in the *committed* `BENCH_thermal.json` / `BENCH_fleet.json` (read
-/// before this run overwrites them), so a committed `BENCH_obs.json`
-/// records the genuine before/after cost of threading the recorder
-/// through the hot loops. The `fleet_null_*` fields are an in-process
-/// control: two interleaved null-sink measurements whose spread bounds
-/// the benchmark's own noise floor.
+/// The `fleet_null_*` fields are an in-process control: two interleaved
+/// null-sink measurements whose spread bounds the benchmark's own noise
+/// floor.
 #[derive(Debug, Serialize)]
 pub struct ObsBenchReport {
     /// True when the quick (smoke-test) request counts were used.
@@ -33,11 +29,6 @@ pub struct ObsBenchReport {
     /// Backward-Euler steps/sec with the cached factorization, measured
     /// at the full iteration count even under `--quick` (it is cheap).
     pub be_cached_steps_per_sec: f64,
-    /// `be_cached_steps_per_sec` from the committed `BENCH_thermal.json`.
-    pub baseline_be_cached_steps_per_sec: Option<f64>,
-    /// Kernel slowdown vs the committed baseline, percent (positive =
-    /// this tree is slower).
-    pub be_cached_delta_pct: Option<f64>,
     /// Fleet kernel wall time with the null sink, ms (mean over the
     /// interleaved rounds).
     pub fleet_null_wall_ms: f64,
@@ -57,10 +48,6 @@ pub struct ObsBenchReport {
     /// End-to-end `fleet_routing` wall time, ms (full mode only;
     /// best of 2).
     pub fleet_routing_wall_ms: Option<f64>,
-    /// `fleet_routing_wall_ms` from the committed `BENCH_fleet.json`.
-    pub baseline_fleet_routing_wall_ms: Option<f64>,
-    /// `fleet_routing` slowdown vs the committed baseline, percent.
-    pub fleet_routing_delta_pct: Option<f64>,
     /// Provenance notes on the recording path: what moved the committed
     /// numbers, with the before/after pair.
     pub notes: String,
@@ -144,16 +131,11 @@ pub(super) fn fleet_wall_ms_with(requests: u64, sink: &mut diskobs::Sink) -> Res
 /// Measures the observability tax: the fleet kernel with a null sink
 /// (twice, interleaved, to expose the noise floor) against the same
 /// kernel with a recording sink, plus this tree's thermal-kernel and
-/// `fleet_routing` numbers diffed against the committed baselines.
-///
-/// Call this *before* overwriting the `BENCH_*.json` baselines.
+/// `fleet_routing` numbers.
 pub fn obs_bench(quick: bool) -> Result<ObsBenchReport, LabError> {
-    let baseline_be = baseline_field("BENCH_thermal.json", "be_cached_steps_per_sec");
-    let baseline_routing = baseline_field("BENCH_fleet.json", "fleet_routing_wall_ms");
-
     // Full-size kernel measurement even in quick mode: 200k cached
     // steps run in ~10 ms, and keeping the count fixed keeps the
-    // number comparable to the committed baseline.
+    // number comparable to the committed one.
     let model = ThermalModel::new(DriveThermalSpec::cheetah_15k3());
     let op = OperatingPoint::seeking(Rpm::new(15_000.0));
     let be_cached = (0..3)
@@ -232,21 +214,10 @@ pub fn obs_bench(quick: bool) -> Result<ObsBenchReport, LabError> {
         Some(best)
     };
 
-    let delta = |now: f64, base: Option<f64>, higher_is_better: bool| {
-        base.map(|b| {
-            if higher_is_better {
-                (b - now) / b * 100.0
-            } else {
-                (now - b) / b * 100.0
-            }
-        })
-    };
     Ok(ObsBenchReport {
         quick,
         provenance: Provenance::collect(),
         be_cached_steps_per_sec: be_cached,
-        baseline_be_cached_steps_per_sec: baseline_be,
-        be_cached_delta_pct: delta(be_cached, baseline_be, true),
         fleet_null_wall_ms: null_a,
         fleet_null_repeat_wall_ms: null_b,
         null_noise_pct: noise_pct,
@@ -254,9 +225,6 @@ pub fn obs_bench(quick: bool) -> Result<ObsBenchReport, LabError> {
         recording_overhead_pct,
         recorded_events,
         fleet_routing_wall_ms: routing_ms,
-        baseline_fleet_routing_wall_ms: baseline_routing,
-        fleet_routing_delta_pct: routing_ms
-            .and_then(|now| delta(now, baseline_routing, false)),
         notes: OBS_RECORDING_NOTES.to_string(),
     })
 }
@@ -267,8 +235,7 @@ pub fn obs_bench(quick: bool) -> Result<ObsBenchReport, LabError> {
 /// the same kernel must agree to within 4%. Both sides run in this
 /// process moments apart, so the check is machine-independent; the
 /// margin sits above the paired-CPU-time noise floor observed on shared
-/// containers (~2.5%), and the committed `BENCH_obs.json` pins the
-/// tighter <2% before/after deltas on the acceptance metrics.
+/// containers (~2.5%).
 pub(super) fn measure(quick: bool) -> Result<Value, LabError> {
     let mut obs = obs_bench(quick)?;
     if obs.null_noise_pct >= 2.0 {

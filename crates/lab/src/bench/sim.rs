@@ -7,19 +7,15 @@ use std::time::Instant;
 use units::{Rpm, Seconds};
 
 use super::fleet::{fleet_bench_trace, FLEET_BENCH_ENCLOSURES};
-use super::{baseline_field, Provenance};
+use super::Provenance;
 
 /// What `lab bench` measured about the storage event core. A full run
 /// writes this to `BENCH_sim.json` at the workspace root.
 ///
-/// `windows_per_sec` is the acceptance metric for the allocation-free
-/// event-core rewrite: the same figure-scale trace the fleet benchmark
+/// `windows_per_sec` is the same figure-scale trace the fleet benchmark
 /// drives, advanced window by window through a single-shard
 /// [`StorageSystem`] with persistent scratch — the loop every DTM and
 /// fleet shard runs, minus the thermal model and fleet coordination.
-/// It is compared against `serial_windows_per_sec` in the *committed*
-/// `BENCH_fleet.json` (read before this run overwrites it), the
-/// pre-rewrite whole-stack number the issue baselines against.
 #[derive(Debug, Serialize)]
 pub struct SimBenchReport {
     /// True when the quick (smoke-test) request counts were used.
@@ -33,10 +29,6 @@ pub struct SimBenchReport {
     pub windows_per_sec: f64,
     /// Arrival + completion events/sec through the same loop.
     pub events_per_sec: f64,
-    /// `serial_windows_per_sec` from the committed `BENCH_fleet.json`.
-    pub baseline_fleet_serial_windows_per_sec: Option<f64>,
-    /// `windows_per_sec / baseline` — the event-core rewrite's payoff.
-    pub windows_speedup: Option<f64>,
 }
 
 /// One timed pass of the figure-scale trace through a single-shard
@@ -111,11 +103,7 @@ pub(super) fn sim_windows_per_sec(requests: u64, reps: usize) -> Result<(f64, f6
 
 /// Benchmarks the storage event core: the window loop on the
 /// figure-scale trace.
-///
-/// Call this *before* overwriting `BENCH_fleet.json`: the speedup is
-/// computed against the committed serial baseline.
 pub fn sim_bench(quick: bool) -> Result<SimBenchReport, LabError> {
-    let baseline = baseline_field("BENCH_fleet.json", "serial_windows_per_sec");
     let (requests, reps) = if quick { (800, 2) } else { (48_000, 7) };
     let (windows_per_sec, events_per_sec) = sim_windows_per_sec(requests, reps)?;
     Ok(SimBenchReport {
@@ -123,7 +111,5 @@ pub fn sim_bench(quick: bool) -> Result<SimBenchReport, LabError> {
         provenance: Provenance::collect(),
         windows_per_sec,
         events_per_sec,
-        baseline_fleet_serial_windows_per_sec: baseline,
-        windows_speedup: baseline.map(|b| windows_per_sec / b),
     })
 }

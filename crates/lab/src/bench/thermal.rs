@@ -21,14 +21,10 @@ pub struct ThermalBenchReport {
     pub quick: bool,
     /// Where and when these numbers were taken.
     pub provenance: Provenance,
-    /// Backward-Euler steps/sec through the pre-rewrite heap kernel.
-    pub be_prepr_steps_per_sec: f64,
     /// Backward-Euler steps/sec on stack arrays, factoring every step.
     pub be_naive_steps_per_sec: f64,
     /// Backward-Euler steps/sec with the cached factorization.
     pub be_cached_steps_per_sec: f64,
-    /// `be_cached / be_prepr` — the whole PR's payoff on the kernel.
-    pub cached_speedup: f64,
     /// Forward-Euler steps/sec.
     pub fe_steps_per_sec: f64,
     /// Steady-state solves/sec when every solve is a new operating point.
@@ -39,20 +35,6 @@ pub struct ThermalBenchReport {
     pub figure5_wall_ms: f64,
     /// End-to-end wall time of the `figure7` experiment, in ms.
     pub figure7_wall_ms: f64,
-}
-
-/// Times `steps` backward-Euler steps through the pre-rewrite kernel:
-/// heap matrices assembled and eliminated from scratch on every step.
-fn be_prepr_steps_per_sec(model: &ThermalModel, op: OperatingPoint, steps: usize) -> f64 {
-    let ambient = model.spec().ambient().get();
-    let mut temps = [ambient; 4];
-    let start = Instant::now();
-    for _ in 0..steps {
-        temps = diskthermal::bench_support::heap_backward_euler_step(model, op, DT, temps);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    black_box(temps);
-    steps as f64 / elapsed
 }
 
 /// Times `steps` backward-Euler steps over a constant operating point.
@@ -115,15 +97,11 @@ pub fn thermal_bench(quick: bool) -> Result<ThermalBenchReport, LabError> {
 
     let model = ThermalModel::new(DriveThermalSpec::cheetah_15k3());
     let op = OperatingPoint::seeking(Rpm::new(15_000.0));
-    let be_prepr = be_prepr_steps_per_sec(&model, op, kernel_steps);
-    let be_cached = be_steps_per_sec(&model, op, kernel_steps, true);
     Ok(ThermalBenchReport {
         quick,
         provenance: Provenance::collect(),
-        be_prepr_steps_per_sec: be_prepr,
         be_naive_steps_per_sec: be_steps_per_sec(&model, op, kernel_steps, false),
-        be_cached_steps_per_sec: be_cached,
-        cached_speedup: be_cached / be_prepr,
+        be_cached_steps_per_sec: be_steps_per_sec(&model, op, kernel_steps, true),
         fe_steps_per_sec: fe_steps_per_sec(&model, op, kernel_steps),
         steady_cold_solves_per_sec: steady_solves_per_sec(&model, cold_solves, true),
         steady_memoized_solves_per_sec: steady_solves_per_sec(&model, memo_solves, false),

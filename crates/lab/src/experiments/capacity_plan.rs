@@ -9,7 +9,7 @@
 //!
 //! 1. a **training sweep** ([`SweepSpec`]) evaluates the full simulator
 //!    on a coarse knob grid, in parallel, and fits a
-//!    [`GridSurrogate`] to the flattened metric targets;
+//!    [`GridSurrogate`] to the sweep's target vector;
 //! 2. the surrogate **screens** a dense candidate set (every integer
 //!    rack density across every rate/geometry/inlet/DTM combination)
 //!    against the envelope and tail-latency constraints at

@@ -4,25 +4,21 @@
 //! Every point is one complete fleet simulation — a [`HallSpec`]
 //! geometry under thermal-aware routing, driven by one of the workload
 //! presets — reduced to the deterministic target vector a
-//! [`disksurrogate::GridSurrogate`] fits: peak exit-air temperature,
-//! DTM engagement rate, and response-time quantiles (the reservoir p95
-//! plus the `LogHistogram`-bucketed p50/p95), exported through
-//! [`diskobs::Registry::flatten`]. Points run in parallel through the
-//! same work-stealing [`parallel_map`] the fleet shards its event loop
-//! with; each point runs its fleet single-threaded and is a pure
-//! function of its coordinates, so sweep results are byte-identical at
-//! any `threads`.
+//! [`disksurrogate::GridSurrogate`] fits, named by [`TARGETS`]: DTM
+//! engagement rate, the mean, p50 and p95 response times read straight
+//! off the fleet's response-time histogram, and peak exit-air
+//! temperature. Points run in parallel through the same work-stealing
+//! [`parallel_map`] the fleet shards its event loop with; each point
+//! runs its fleet single-threaded and is a pure function of its
+//! coordinates, so sweep results are byte-identical at any `threads`.
 //!
-//! The per-point reduction is allocation-free after warm-up: the trace
-//! buffer refills via `TraceGenerator::generate_into`, the histogram
-//! re-buckets in place after `reset_histograms`, percentiles sort into
-//! a reused scratch buffer, and the target vector lands in a reused
-//! `Vec<f64>` via `flatten_values_into`. `tests/alloc_budget.rs` pins
-//! that path at zero heap allocations per point.
+//! The per-point reduction is allocation-free: the trace buffer
+//! refills via `TraceGenerator::generate_into`, and [`reduce_targets`]
+//! returns a fixed-size array. `tests/alloc_budget.rs` pins that path
+//! at zero heap allocations per point.
 
 use crate::error::LabError;
 use diskfleet::{Fleet, FleetDtmPolicy, FleetReport, HallSpec, RoutingPolicy};
-use diskobs::{LogHistogram, Registry};
 use disksim::par::parallel_map;
 use disksim::{DiskSpec, Request, StorageSystem, SystemConfig};
 use disksurrogate::{Axis, TrainingSample};
@@ -39,8 +35,9 @@ pub const KNOBS: [&str; 5] = ["rate", "per_rack", "racks_per_row", "inlet_c", "d
 /// Axis index of `per_rack` — the capacity-planning objective knob.
 pub const PER_RACK_AXIS: usize = 1;
 
-/// Quantiles the histogram contributes to the target vector.
-pub const TARGET_QUANTILES: [f64; 2] = [0.5, 0.95];
+/// Target names, in the order [`reduce_targets`] returns their values.
+/// `p95_ms` is the output capacity planning gates on.
+pub const TARGETS: [&str; 5] = ["dtm_engaged", "mean_ms", "p50_ms", "p95_ms", "peak_air_c"];
 
 /// Full spindle speed (the 2002 15k-RPM point every fleet experiment
 /// uses).
@@ -159,19 +156,9 @@ impl SweepSpec {
     /// DTM level other than 0/1, an unknown preset) or any simulator
     /// failure.
     pub fn evaluate(&self, coords: &[f64]) -> Result<TrainingSample, LabError> {
-        SCRATCH.with(|cell| self.evaluate_with(coords, &mut cell.borrow_mut()))
-    }
-
-    /// [`Self::evaluate`] against caller-owned scratch — the reusable
-    /// buffers `tests/alloc_budget.rs` pins.
-    pub fn evaluate_with(
-        &self,
-        coords: &[f64],
-        scratch: &mut SweepScratch,
-    ) -> Result<TrainingSample, LabError> {
-        let report = self.simulate(coords, scratch)?;
-        let outputs = extract_targets(&report, scratch);
-        Ok(TrainingSample::new(coords.to_vec(), outputs))
+        let report = TRACE.with(|cell| self.simulate(coords, &mut cell.borrow_mut()))?;
+        let targets = extract_targets(&report);
+        Ok(TrainingSample::new(coords.to_vec(), targets))
     }
 
     /// Evaluates many points across `threads` workers. Points map to
@@ -192,13 +179,14 @@ impl SweepSpec {
             .collect()
     }
 
-    /// One full fleet simulation at `coords`. Public so
-    /// `tests/alloc_budget.rs` can obtain a report to reduce on its
-    /// own; everything else goes through [`Self::evaluate`].
+    /// One full fleet simulation at `coords`, generating its trace into
+    /// the reused buffer `trace`. Public so `tests/alloc_budget.rs` can
+    /// obtain a report to reduce on its own; everything else goes
+    /// through [`Self::evaluate`].
     pub fn simulate(
         &self,
         coords: &[f64],
-        scratch: &mut SweepScratch,
+        trace: &mut Vec<Request>,
     ) -> Result<FleetReport, LabError> {
         let fail =
             |e: &dyn std::fmt::Display| LabError::Experiment(format!("sweep point {coords:?}: {e}"));
@@ -254,97 +242,41 @@ impl SweepSpec {
             capacity,
         )
         .map_err(|e| fail(&e))?;
-        generator.generate_into(self.requests, self.seed, &mut scratch.trace);
+        generator.generate_into(self.requests, self.seed, trace);
 
         let fleet = Fleet::new(config).map_err(|e| fail(&e))?;
-        fleet.run(scratch.trace.clone()).map_err(|e| fail(&e))
-    }
-}
-
-/// Per-worker reusable buffers for the sweep loop. One instance lives
-/// in thread-local storage per worker; `tests/alloc_budget.rs` drives
-/// [`extract_targets`] against an explicit instance to pin the
-/// per-point reduction at zero steady-state allocations.
-pub struct SweepScratch {
-    /// Trace buffer refilled by `generate_into` each point.
-    pub trace: Vec<Request>,
-    /// Reservoir sort buffer for `percentile_with`.
-    pub percentile: Vec<f64>,
-    /// The metrics registry the target vector flattens out of.
-    pub registry: Registry,
-    /// Value buffer for `flatten_values_into`.
-    pub values: Vec<f64>,
-    /// Flattened target names; populated on first extraction.
-    names: Vec<String>,
-}
-
-impl SweepScratch {
-    /// Empty scratch; buffers grow to their high-water marks on first
-    /// use and are reused afterwards.
-    pub fn new() -> Self {
-        SweepScratch {
-            trace: Vec::new(),
-            percentile: Vec::new(),
-            registry: Registry::new(),
-            values: Vec::new(),
-            names: Vec::new(),
-        }
-    }
-}
-
-impl Default for SweepScratch {
-    fn default() -> Self {
-        Self::new()
+        fleet.run(trace.clone()).map_err(|e| fail(&e))
     }
 }
 
 thread_local! {
-    static SCRATCH: RefCell<SweepScratch> = RefCell::new(SweepScratch::new());
+    /// Each worker's trace buffer, refilled by `generate_into` every
+    /// point.
+    static TRACE: RefCell<Vec<Request>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Reduces a fleet report into `scratch.values` (and, on first use,
-/// `scratch.names`) through the metrics registry: gauges for peak
-/// exit-air temperature, DTM engagement rate, and the reservoir p95;
-/// the response-time distribution re-bucketed into the `response_ms`
-/// log histogram. After the scratch registry has seen one report and
-/// the buffers have grown to their high-water marks, this performs
-/// **zero** heap allocations — the property `tests/alloc_budget.rs`
-/// pins.
-pub fn reduce_targets(report: &FleetReport, scratch: &mut SweepScratch) {
-    let reg = &mut scratch.registry;
-    reg.reset_histograms();
-    reg.gauge_set("peak_air_c", report.max_air.get());
-    reg.gauge_set("dtm_engaged", engagement_rate(report));
-    reg.gauge_set(
-        "p95_ms",
-        report
-            .stats
-            .percentile_with(&mut scratch.percentile, 95.0)
-            .to_millis(),
-    );
-    for &ms in report.stats.samples_ms() {
-        reg.observe("response_ms", ms, LogHistogram::response_ms);
-    }
-    reg.flatten_values_into(&TARGET_QUANTILES, &mut scratch.values);
-    if scratch.names.is_empty() {
-        scratch.names = reg
-            .flatten(&TARGET_QUANTILES)
-            .into_iter()
-            .map(|(name, _)| name)
-            .collect();
-    }
+/// Reduces a fleet report to its target values, in [`TARGETS`] order:
+/// DTM engagement rate, the mean, p50 and p95 response times in ms,
+/// and peak exit-air temperature. Performs no heap allocation — the
+/// property `tests/alloc_budget.rs` pins.
+pub fn reduce_targets(report: &FleetReport) -> [f64; TARGETS.len()] {
+    let stats = &report.stats;
+    [
+        engagement_rate(report),
+        stats.mean().to_millis(),
+        stats.percentile(50.0).to_millis(),
+        stats.percentile(95.0).to_millis(),
+        report.max_air.get(),
+    ]
 }
 
-/// [`reduce_targets`] plus materializing the named target vector the
-/// [`TrainingSample`] carries (the one place the per-point loop clones
-/// the output names).
-pub fn extract_targets(report: &FleetReport, scratch: &mut SweepScratch) -> Vec<(String, f64)> {
-    reduce_targets(report, scratch);
-    scratch
-        .names
+/// [`reduce_targets`] with each value named, the vector a
+/// [`TrainingSample`] carries.
+pub fn extract_targets(report: &FleetReport) -> Vec<(String, f64)> {
+    TARGETS
         .iter()
-        .cloned()
-        .zip(scratch.values.iter().copied())
+        .map(|name| name.to_string())
+        .zip(reduce_targets(report))
         .collect()
 }
 
@@ -410,20 +342,12 @@ mod tests {
         let spec = tiny_spec();
         let sample = spec.evaluate(&[200.0, 4.0, 2.0, 28.0, 0.0]).unwrap();
         let names: Vec<&str> = sample.outputs.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(
-            names,
-            [
-                "dtm_engaged",
-                "p95_ms",
-                "peak_air_c",
-                "response_ms_mean",
-                "response_ms_p50",
-                "response_ms_p95"
-            ]
-        );
-        let peak = sample.outputs[2].1;
+        assert_eq!(names, TARGETS);
+        let value = |name: &str| sample.outputs.iter().find(|(n, _)| n == name).unwrap().1;
+        let peak = value("peak_air_c");
         assert!(peak > 28.0, "exit air must exceed the inlet, got {peak}");
-        assert_eq!(sample.outputs[0].1, 0.0, "no DTM at level 0");
+        assert_eq!(value("dtm_engaged"), 0.0, "no DTM at level 0");
+        assert!(value("p95_ms") >= value("p50_ms"), "{:?}", sample.outputs);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::error::LabError;
 use diskfleet::{Fleet, FleetConfig, FleetDtmPolicy, RoutingPolicy};
-use diskobs::{Event, LogHistogram, NdjsonRecorder, Recorder, Registry, Sink, TimedEvent, Timeseries};
+use diskobs::{Event, NdjsonRecorder, Recorder, Registry, Sink, TimedEvent, Timeseries};
 use disksim::{DiskSpec, Request, RequestKind, StorageSystem, SystemConfig};
 use diskthermal::{DriveThermalSpec, TempSensor, ThermalModel, ThermalParams, THERMAL_ENVELOPE};
 use dtm::{DtmController, DtmPolicy};
@@ -205,7 +205,7 @@ pub fn registry_from(events: &[TimedEvent]) -> Registry {
             Event::RequestIssue { .. } => reg.count("request_issue", 1),
             Event::RequestComplete { response_ms, .. } => {
                 reg.count("request_complete", 1);
-                reg.observe("response_ms", *response_ms, LogHistogram::response_ms);
+                reg.observe("response_ms", *response_ms);
             }
             Event::RpmTransition { .. } => reg.count("rpm_transition", 1),
             Event::ThrottleEngage { .. } => reg.count("throttle_engage", 1),
@@ -216,19 +216,13 @@ pub fn registry_from(events: &[TimedEvent]) -> Registry {
                 sensed_c, actual_c, ..
             } => {
                 reg.count("sensor_reading", 1);
-                reg.observe("sensor_error_c", (actual_c - sensed_c).abs(), || {
-                    // 1/16 C first edge: fine enough to resolve a 1 C
-                    // quantizing sensor's error distribution.
-                    LogHistogram::new(0.0625, 2.0, 8)
-                });
+                reg.observe("sensor_error_c", (actual_c - sensed_c).abs());
             }
             Event::Snapshot { air_c, queue, .. } => {
                 reg.count("snapshot", 1);
                 let peak = reg.gauge("peak_air_c").unwrap_or(f64::NEG_INFINITY);
                 reg.gauge_set("peak_air_c", peak.max(*air_c));
-                reg.observe("queue_depth", *queue as f64, || {
-                    LogHistogram::new(1.0, 2.0, 10)
-                });
+                reg.observe("queue_depth", *queue as f64);
             }
             Event::DriveFailed { .. } => reg.count("drive_failed", 1),
             Event::RebuildProgress { .. } => reg.count("rebuild_progress", 1),

@@ -19,8 +19,11 @@
 //!   uninstrumented ones — `BENCH_obs.json` pins that claim.
 //! - [`Recorder`] implementations for real use: [`NullRecorder`],
 //!   a bounded [`RingRecorder`], and a streaming [`NdjsonRecorder`].
-//! - [`metrics`]: a registry of counters, gauges, and log-bucketed
-//!   histograms (generalizing `ResponseStats`' fixed CDF buckets), plus
+//! - [`Histogram`]: the one distribution type, a mergeable log-linear
+//!   histogram (64 buckets per octave read off the `f64` bit pattern)
+//!   with exact count, sum, min and max. `disksim::ResponseStats`
+//!   wraps it, and the registry holds one per observed metric.
+//! - [`metrics`]: a registry of counters, gauges, and histograms, plus
 //!   a [`metrics::Timeseries`] for periodic snapshot probes, exportable
 //!   to CSV/JSON.
 //! - [`profile`]: wall-clock span timing for the experiment engine, so
@@ -30,6 +33,7 @@
 //!   [`Sink::log`] mirrors a line into the trace as an [`Event::Log`].
 
 pub mod event;
+mod histogram;
 pub mod logger;
 pub mod metrics;
 pub mod profile;
@@ -37,6 +41,7 @@ pub mod record;
 
 pub use event::{is_time_sorted, Event, TimedEvent};
 pub use logger::Level;
-pub use metrics::{LogHistogram, Registry, Timeseries};
+pub use histogram::Histogram;
+pub use metrics::{Registry, Timeseries};
 pub use profile::{Span, SpanSet};
 pub use record::{AtomicFile, NdjsonRecorder, NullRecorder, Recorder, RingRecorder, Sink};

@@ -1,169 +1,15 @@
-//! The metrics registry: counters, gauges, log-bucketed histograms, and
-//! snapshot timeseries.
+//! The metrics registry: counters, gauges, histograms, and snapshot
+//! timeseries.
 //!
-//! `disksim::ResponseStats` carries the paper's nine fixed CDF edges;
-//! [`LogHistogram`] generalizes that to geometric bucket edges so one
-//! shape covers response times, queue depths, and temperatures alike.
+//! Every histogram is a [`Histogram`], the same log-linear distribution
+//! `disksim::ResponseStats` wraps, so one shape covers response times,
+//! queue depths, and temperatures alike with no layout to choose.
 //! Everything here exports to JSON (through the registry's `Serialize`)
 //! or CSV ([`Timeseries::to_csv`]) under `results/`.
 
+use crate::Histogram;
 use serde::Serialize;
 use std::collections::BTreeMap;
-
-/// A histogram over geometrically-spaced buckets.
-///
-/// Bucket `i` covers `(edge(i-1), edge(i)]` with
-/// `edge(i) = first_edge * growth^i`; one overflow bucket closes the
-/// range, mirroring `ResponseStats`' "200+" tail.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct LogHistogram {
-    /// Upper edge of the first bucket.
-    first_edge: f64,
-    /// Geometric ratio between consecutive edges.
-    growth: f64,
-    /// Per-bucket counts; the final slot is the overflow bucket.
-    counts: Vec<u64>,
-    /// Total samples recorded.
-    count: u64,
-    /// Sum of recorded values.
-    sum: f64,
-    /// Smallest recorded value.
-    min: f64,
-    /// Largest recorded value.
-    max: f64,
-}
-
-impl LogHistogram {
-    /// A histogram of `buckets` geometric buckets plus overflow.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `first_edge > 0`, `growth > 1`, and `buckets > 0`.
-    pub fn new(first_edge: f64, growth: f64, buckets: usize) -> Self {
-        assert!(first_edge > 0.0, "first edge must be positive");
-        assert!(growth > 1.0, "growth must exceed 1");
-        assert!(buckets > 0, "need at least one bucket");
-        Self {
-            first_edge,
-            growth,
-            counts: vec![0; buckets + 1],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// The response-time default: edges from 5 ms growing 1.6× for 12
-    /// buckets (5 ms … ~1.4 s), a geometric generalization of the
-    /// paper's 5–200 ms CDF edges.
-    pub fn response_ms() -> Self {
-        Self::new(5.0, 1.6, 12)
-    }
-
-    /// Empties the histogram in place, keeping its bucket layout (and
-    /// allocation) — sweep loops re-bucket one distribution per
-    /// configuration into the same histogram.
-    pub fn reset(&mut self) {
-        self.counts.fill(0);
-        self.count = 0;
-        self.sum = 0.0;
-        self.min = f64::INFINITY;
-        self.max = f64::NEG_INFINITY;
-    }
-
-    /// Records one value. Non-finite values land in the overflow bucket.
-    pub fn record(&mut self, value: f64) {
-        self.count += 1;
-        if value.is_finite() {
-            self.sum += value;
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        let buckets = self.counts.len() - 1;
-        let idx = if !value.is_finite() {
-            buckets
-        } else if value <= self.first_edge {
-            0
-        } else {
-            // Smallest i with first_edge * growth^i >= value.
-            let i = ((value / self.first_edge).ln() / self.growth.ln()).ceil() as usize;
-            i.min(buckets)
-        };
-        self.counts[idx] += 1;
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// The bucket edges, overflow excluded.
-    pub fn edges(&self) -> Vec<f64> {
-        (0..self.counts.len() - 1)
-            .map(|i| self.first_edge * self.growth.powi(i as i32))
-            .collect()
-    }
-
-    /// `(edge, cumulative_fraction)` pairs, closed by
-    /// `(f64::INFINITY, 1.0)` — the same shape `ResponseStats::cdf`
-    /// returns.
-    pub fn cdf(&self) -> Vec<(f64, f64)> {
-        let total = self.count.max(1) as f64;
-        let mut acc = 0u64;
-        let mut out = Vec::with_capacity(self.counts.len());
-        for (i, edge) in self.edges().into_iter().enumerate() {
-            acc += self.counts[i];
-            out.push((edge, acc as f64 / total));
-        }
-        out.push((f64::INFINITY, 1.0));
-        out
-    }
-
-    /// Upper-edge estimate of quantile `q` in `[0, 1]`: the first edge
-    /// whose cumulative fraction reaches `q` (conservative, like reading
-    /// a CDF plot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
-        if self.count == 0 {
-            return 0.0;
-        }
-        // Walk the counts directly rather than materializing `cdf()`:
-        // quantile queries sit on the sweep loop's allocation-free path.
-        let total = self.count as f64;
-        let mut acc = 0u64;
-        for (i, &n) in self.counts[..self.counts.len() - 1].iter().enumerate() {
-            acc += n;
-            if acc as f64 / total >= q {
-                let edge = self.first_edge * self.growth.powi(i as i32);
-                return edge.min(self.max.max(self.min));
-            }
-        }
-        self.max
-    }
-
-    /// [`Self::quantile`] at each of `qs`, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any entry of `qs` is outside `[0, 1]`.
-    pub fn quantiles(&self, qs: &[f64]) -> Vec<f64> {
-        qs.iter().map(|&q| self.quantile(q)).collect()
-    }
-}
 
 /// Counters, gauges, and histograms under one namespace, exportable as
 /// JSON (insertion-independent: maps are ordered by key).
@@ -174,7 +20,7 @@ pub struct Registry {
     /// Last-write-wins instantaneous values.
     gauges: BTreeMap<String, f64>,
     /// Distributions.
-    histograms: BTreeMap<String, LogHistogram>,
+    histograms: BTreeMap<String, Histogram>,
 }
 
 impl Registry {
@@ -207,85 +53,32 @@ impl Registry {
         self.gauges.get(name).copied()
     }
 
-    /// Records into a histogram, creating it with `make` on first use.
-    /// Recording into an existing histogram does not allocate.
-    pub fn observe(&mut self, name: &str, value: f64, make: impl FnOnce() -> LogHistogram) {
+    /// Records into a histogram, creating it on first use. Recording
+    /// into an existing histogram allocates only when the value widens
+    /// its span.
+    ///
+    /// # Panics
+    ///
+    /// As [`Histogram::record`]: `value` must be finite and
+    /// non-negative.
+    pub fn observe(&mut self, name: &str, value: f64) {
         if let Some(h) = self.histograms.get_mut(name) {
             h.record(value);
         } else {
-            let mut h = make();
+            let mut h = Histogram::new();
             h.record(value);
             self.histograms.insert(name.to_string(), h);
         }
     }
 
-    /// Resets every histogram in place (layouts kept); counters and
-    /// gauges are left to be overwritten by their next writes. The
-    /// registry-reuse half of the sweep loop's zero-allocation path.
-    pub fn reset_histograms(&mut self) {
-        for h in self.histograms.values_mut() {
-            h.reset();
-        }
-    }
-
     /// Reads a histogram.
-    pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
+    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
     }
 
     /// Pretty JSON for `results/` export.
     pub fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(self).unwrap_or_default()
-    }
-
-    /// Flattens the registry into a deterministic `(name, value)`
-    /// target vector — the shape a surrogate fit consumes. Counters and
-    /// gauges export under their own names; each histogram contributes
-    /// its mean (`<name>_mean`) and the requested quantiles
-    /// (`<name>_p<q*100>`). Names come out in `BTreeMap` order, so equal
-    /// registries flatten to equal vectors regardless of insertion
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any entry of `quantiles` is outside `[0, 1]`.
-    pub fn flatten(&self, quantiles: &[f64]) -> Vec<(String, f64)> {
-        let mut out = Vec::with_capacity(
-            self.counters.len() + self.gauges.len() + self.histograms.len() * (1 + quantiles.len()),
-        );
-        for (name, &v) in &self.counters {
-            out.push((name.clone(), v as f64));
-        }
-        for (name, &v) in &self.gauges {
-            out.push((name.clone(), v));
-        }
-        for (name, h) in &self.histograms {
-            out.push((format!("{name}_mean"), h.mean()));
-            for &q in quantiles {
-                out.push((format!("{name}_p{}", q * 100.0), h.quantile(q)));
-            }
-        }
-        out
-    }
-
-    /// The values of [`Self::flatten`] without the names, appended to a
-    /// caller-owned buffer. The names are a function of the registry's
-    /// key set alone, so a sweep fetches them once via `flatten` and
-    /// then extracts every point's target vector allocation-free.
-    pub fn flatten_values_into(&self, quantiles: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        for &v in self.counters.values() {
-            out.push(v as f64);
-        }
-        for &v in self.gauges.values() {
-            out.push(v);
-        }
-        for h in self.histograms.values() {
-            out.push(h.mean());
-            for &q in quantiles {
-                out.push(h.quantile(q));
-            }
-        }
     }
 }
 
@@ -359,17 +152,16 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_geometric_and_cdf_closes_at_one() {
-        let mut h = LogHistogram::new(1.0, 2.0, 4);
-        assert_eq!(h.edges(), vec![1.0, 2.0, 4.0, 8.0]);
+        let mut h = Histogram::new();
         for v in [0.5, 1.5, 3.0, 6.0, 100.0] {
             h.record(v);
         }
         assert_eq!(h.count(), 5);
-        let cdf = h.cdf();
-        assert_eq!(cdf.last().unwrap().1, 1.0);
-        // 1/5 <= 1, 2/5 <= 2, 3/5 <= 4, 4/5 <= 8, overflow catches 100.
-        assert!((cdf[0].1 - 0.2).abs() < 1e-12);
-        assert!((cdf[3].1 - 0.8).abs() < 1e-12);
+        // Powers of two are bucket boundaries, so these fractions are
+        // exact: 1/5 <= 1, 2/5 <= 2, 3/5 <= 4, 4/5 <= 8.
+        let cdf = h.cdf(&[1.0, 2.0, 4.0, 8.0]);
+        let want = [(1.0, 0.2), (2.0, 0.4), (4.0, 0.6), (8.0, 0.8), (f64::INFINITY, 1.0)];
+        assert_eq!(cdf, want);
         let mut prev = 0.0;
         for &(_, f) in &cdf {
             assert!(f >= prev);
@@ -379,23 +171,32 @@ mod tests {
 
     #[test]
     fn histogram_quantile_brackets_the_data() {
-        let mut h = LogHistogram::response_ms();
+        let mut h = Histogram::new();
         for i in 1..=1000 {
             h.record(i as f64 / 5.0); // 0.2 .. 200 ms
         }
-        let p50 = h.quantile(0.5);
-        assert!((5.0..=200.0).contains(&p50), "p50 was {p50}");
-        assert!(h.quantile(1.0) >= p50);
-        assert!((h.mean() - 100.1).abs() < 0.2);
+        // Rank round(0.5 * 999) = 500 holds 100.2.
+        let p50 = h.percentile(50.0);
+        assert!((p50 - 100.2).abs() <= 100.2 / 128.0, "p50 was {p50}");
+        assert!(h.percentile(100.0) >= p50);
+        assert_eq!(h.percentile(0.0), 0.2);
+        assert_eq!(h.percentile(100.0), 200.0);
+        assert!((h.mean() - 100.1).abs() < 1e-9);
     }
 
     #[test]
     fn histogram_handles_non_finite_values() {
-        let mut h = LogHistogram::new(1.0, 2.0, 2);
-        h.record(f64::NAN);
-        h.record(f64::INFINITY);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.cdf().last().unwrap().1, 1.0);
+        // A non-finite or negative value has no bucket: recording one
+        // panics instead of corrupting the sum, and leaves the
+        // histogram as it was.
+        let mut h = Histogram::new();
+        h.record(1.0);
+        let before = h.clone();
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.record(bad)));
+            assert!(outcome.is_err(), "{bad} was accepted");
+            assert_eq!(h, before);
+        }
     }
 
     #[test]
@@ -404,8 +205,8 @@ mod tests {
         r.count("requests", 2);
         r.count("requests", 1);
         r.gauge_set("max_air_c", 44.5);
-        r.observe("response_ms", 12.0, LogHistogram::response_ms);
-        r.observe("response_ms", 80.0, LogHistogram::response_ms);
+        r.observe("response_ms", 12.0);
+        r.observe("response_ms", 80.0);
         assert_eq!(r.counter("requests"), 3);
         assert_eq!(r.counter("absent"), 0);
         assert_eq!(r.gauge("max_air_c"), Some(44.5));
@@ -413,65 +214,6 @@ mod tests {
         let json = r.to_json_pretty();
         assert!(json.contains("\"counters\""));
         assert!(json.contains("\"response_ms\""));
-    }
-
-    #[test]
-    fn flatten_exports_a_deterministic_target_vector() {
-        let mut r = Registry::new();
-        r.observe("response_ms", 12.0, LogHistogram::response_ms);
-        r.observe("response_ms", 80.0, LogHistogram::response_ms);
-        r.gauge_set("peak_air_c", 44.5);
-        r.count("engaged", 3);
-        let flat = r.flatten(&[0.5, 0.95]);
-        let names: Vec<&str> = flat.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(
-            names,
-            ["engaged", "peak_air_c", "response_ms_mean", "response_ms_p50", "response_ms_p95"]
-        );
-        assert_eq!(flat[0].1, 3.0);
-        assert_eq!(flat[1].1, 44.5);
-        // Rebuilding the same registry in a different insertion order
-        // flattens identically.
-        let mut again = Registry::new();
-        again.count("engaged", 3);
-        again.gauge_set("peak_air_c", 44.5);
-        again.observe("response_ms", 12.0, LogHistogram::response_ms);
-        again.observe("response_ms", 80.0, LogHistogram::response_ms);
-        assert_eq!(again.flatten(&[0.5, 0.95]), flat);
-    }
-
-    #[test]
-    fn flatten_values_into_matches_flatten_and_reuses_the_buffer() {
-        let mut r = Registry::new();
-        r.observe("response_ms", 12.0, LogHistogram::response_ms);
-        r.gauge_set("peak_air_c", 44.5);
-        r.count("engaged", 3);
-        let flat = r.flatten(&[0.5, 0.95]);
-        let mut values = Vec::new();
-        r.flatten_values_into(&[0.5, 0.95], &mut values);
-        assert_eq!(values, flat.iter().map(|(_, v)| *v).collect::<Vec<_>>());
-        // A second extraction reuses (and first clears) the buffer.
-        r.gauge_set("peak_air_c", 40.0);
-        r.flatten_values_into(&[0.5, 0.95], &mut values);
-        assert_eq!(values.len(), flat.len());
-        assert_eq!(values[1], 40.0);
-    }
-
-    #[test]
-    fn reset_keeps_layout_and_empties_counts() {
-        let mut h = LogHistogram::response_ms();
-        h.record(12.0);
-        h.record(300.0);
-        let fresh = LogHistogram::response_ms();
-        h.reset();
-        assert_eq!(h, fresh);
-        h.record(12.0);
-        assert_eq!(h.count(), 1);
-
-        let mut r = Registry::new();
-        r.observe("response_ms", 50.0, LogHistogram::response_ms);
-        r.reset_histograms();
-        assert_eq!(r.histogram("response_ms").unwrap().count(), 0);
     }
 
     #[test]

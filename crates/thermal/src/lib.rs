@@ -42,9 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[doc(hidden)]
-pub mod bench_support;
-
 pub mod array;
 pub mod calibrate;
 pub mod reliability;

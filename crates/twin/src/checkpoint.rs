@@ -41,7 +41,12 @@ pub const CHECKPOINT_MAGIC: &str = "DISKTWIN";
 ///   be read as version 3; old files fail fast with a typed
 ///   [`CheckpointError::VersionMismatch`] instead of a JSON parse
 ///   error.
-pub const STATE_VERSION: u32 = 3;
+/// - 4: each enclosure's `stats` object became a log-linear histogram
+///   (count, sum, min, max, the zero bucket and a dense span of bucket
+///   counts) in place of a 65,536-sample reservoir with ten Figure 4
+///   counters. Version-3 bodies carry the reservoir, so they fail fast
+///   with [`CheckpointError::VersionMismatch`].
+pub const STATE_VERSION: u32 = 4;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]

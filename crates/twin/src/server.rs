@@ -14,7 +14,7 @@ use crate::checkpoint::write_checkpoint;
 use crate::error::TwinError;
 use crate::protocol::{CheckpointMsg, ErrorMsg, OkMsg, QueryMsg, StatusMsg};
 use crate::twin::{whatif, Twin, TwinState, WhatIf};
-use diskobs::{LogHistogram, Registry};
+use diskobs::Registry;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -489,11 +489,7 @@ fn handle_whatif(writer: &mut TcpStream, shared: &Shared, msg: &QueryMsg) -> boo
             let mut m = shared.metrics_lock();
             m.count("twin_queries", 1);
             m.count("twin_forks", 2);
-            m.observe(
-                "twin_query_ms",
-                started.elapsed().as_secs_f64() * 1e3,
-                LogHistogram::response_ms,
-            );
+            m.observe("twin_query_ms", started.elapsed().as_secs_f64() * 1e3);
             drop(m);
             reply(writer, &report)
         }

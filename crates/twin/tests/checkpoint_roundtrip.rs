@@ -6,7 +6,7 @@
 use disksim::{DiskSpec, Request, RequestKind, StorageSystem, SystemConfig};
 use disktwin::{
     decode, encode, read_checkpoint, write_checkpoint, CheckpointError, Twin, TwinConfig,
-    CHECKPOINT_MAGIC, STATE_VERSION,
+    TwinError, CHECKPOINT_MAGIC, STATE_VERSION,
 };
 use proptest::prelude::*;
 use units::{Rpm, Seconds};
@@ -213,14 +213,16 @@ fn corrupted_checkpoints_are_rejected_before_parsing() {
     ));
 
     // Any other version — future or past — is refused with a typed
-    // error before the JSON parser ever runs. The v2 case is the real
-    // migration hazard: a pre-v3 checkpoint carries a bare stream state
-    // where `source` now lives and no scenario schedule, so it must
-    // fail loudly, not half-deserialize.
+    // error before the JSON parser ever runs. The v2 and v3 cases are
+    // the real migration hazards: a pre-v3 checkpoint carries a bare
+    // stream state where `source` now lives and no scenario schedule,
+    // and a v3 checkpoint carries a sample reservoir where each
+    // enclosure's histogram now lives, so both must fail loudly, not
+    // half-deserialize.
     let header_end = good.iter().position(|&b| b == b'\n').unwrap();
     let header = String::from_utf8(good[..header_end].to_vec()).unwrap();
     let current = format!(" {STATE_VERSION} ");
-    for old in [1u32, 2, 999] {
+    for old in [1u32, 2, 3, 999] {
         let bumped = header.replacen(&current, &format!(" {old} "), 1);
         assert_ne!(bumped, header, "the version field must be rewritten");
         let mut wrong_version = bumped.into_bytes();
@@ -237,6 +239,70 @@ fn corrupted_checkpoints_are_rejected_before_parsing() {
         Err(CheckpointError::BadHeader(_))
     ));
     assert!(matches!(decode(b""), Err(CheckpointError::BadHeader(_))));
+}
+
+/// FNV-1a over a checkpoint body, as the header carries it.
+fn fnv1a(body: &str) -> u64 {
+    body.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Rewrites one field of the first enclosure's response-time histogram
+/// in a checkpoint and re-frames the body under a valid header, so the
+/// doctored statistics get past the checksum and the JSON parser.
+fn doctor_stats(bytes: &[u8], key: &str, value: &str) -> Vec<u8> {
+    let text = std::str::from_utf8(bytes).expect("checkpoints are UTF-8");
+    let body = text.split_once('\n').expect("header line").1.trim_end();
+    // `zeros` is the histogram's own field; its object holds no nested
+    // braces, so the nearest `{` before it opens the histogram.
+    let open = body[..body.find("\"zeros\":").expect("a histogram")]
+        .rfind('{')
+        .expect("histogram object");
+    let tag = format!("\"{key}\":");
+    let start = open + body[open..].find(&tag).expect("histogram field") + tag.len();
+    let end = start + body[start..].find([',', '}']).expect("field ends");
+    let doctored = format!("{}{value}{}", &body[..start], &body[end..]);
+    let mut out = format!(
+        "{CHECKPOINT_MAGIC} {STATE_VERSION} {} {:016x}\n",
+        doctored.len(),
+        fnv1a(&doctored)
+    )
+    .into_bytes();
+    out.extend_from_slice(doctored.as_bytes());
+    out.push(b'\n');
+    out
+}
+
+#[test]
+fn doctored_response_histograms_are_refused_on_restore() {
+    let mut twin = twin_for(1);
+    for _ in 0..2 {
+        twin.advance_epoch().expect("advance");
+    }
+    let good = encode(&twin.capture_state()).expect("encode");
+    let untouched = doctor_stats(&good, "zeros", "0");
+    assert_eq!(untouched, good, "the doctoring helper round-trips");
+    // Counts that do not sum to `count`, a span outside the buckets of
+    // finite values, min above max, and a non-finite sum: each body
+    // passes its checksum and parses, and each must be refused as a
+    // typed error instead of serving a CDF above 1 or a wrong p95.
+    for (key, value, why) in [
+        ("count", "1", "sum to"),
+        ("first", "0", "leaves"),
+        ("min", "1e300", "exceeds"),
+        ("sum", "null", "finite"),
+    ] {
+        let state = decode(&doctor_stats(&good, key, value)).expect("the body still parses");
+        match Twin::restore_state(state) {
+            Err(TwinError::Sim(msg)) => {
+                assert!(msg.contains("response statistics"), "{msg}");
+                assert!(msg.contains(why), "{msg}");
+            }
+            Err(e) => panic!("doctored {key}={value}: wrong error {e}"),
+            Ok(_) => panic!("doctored {key}={value} must be refused"),
+        }
+    }
 }
 
 #[test]

@@ -1,19 +1,18 @@
 //! The allocation budget of the steady-state hot path is zero.
 //!
 //! The event core keeps every per-window buffer — arrival queue,
-//! request slab, parent slab, completion batches, stats reservoir,
-//! thermal scratch — alive across calls, so once the structures have
-//! grown to the workload's high-water mark, serving another window
-//! must not touch the heap at all. This test pins that property with a
+//! request slab, parent slab, completion batches, thermal scratch —
+//! alive across calls, so once the structures have grown to the
+//! workload's high-water mark, serving another window must not touch
+//! the heap at all. This test pins that property with a
 //! counting global allocator: warm a RAID-5 storage system and a
 //! thermally-coupled `WindowedDrive` through two simulated minutes,
 //! then assert that a long run of further windows performs **zero**
 //! heap allocations. A third subject pins the surrogate training
 //! sweep's per-point target reduction (`disklab::sweep::reduce_targets`)
-//! to the same budget once its scratch buffers are warm, a fourth pins
-//! NDJSON trace recording: once its line buffer has held the longest
-//! line, `NdjsonRecorder` renders and writes events without touching
-//! the heap. A fifth pins `StorageSystem::restore_state`, which hands
+//! to the same budget, a fourth pins NDJSON trace recording: once its
+//! line buffer has held the longest line, `NdjsonRecorder` renders and
+//! writes events without touching the heap. A fifth pins `StorageSystem::restore_state`, which hands
 //! the captured buffers to the rebuilt system and allocates nothing.
 //!
 //! Everything lives in one `#[test]` function: the counter is global,
@@ -79,10 +78,10 @@ fn trace(requests: u64, rate: f64, capacity: u64) -> Vec<Request> {
 
 /// Control-window width shared by both subjects (the fleet default).
 const WINDOW: f64 = 0.25;
-/// Warm-up windows: two minutes of simulated time. The queues, slabs
-/// and the stats reservoir grow to a *workload-dependent* high-water
-/// mark, and a long warm-up lets every one of them see its worst case
-/// before the measurement starts.
+/// Warm-up windows: two minutes of simulated time. The queues and
+/// slabs grow to a *workload-dependent* high-water mark, and a long
+/// warm-up lets every one of them see its worst case before the
+/// measurement starts.
 const WARM_WINDOWS: u64 = 480;
 /// Windows served under the zero-allocation assertion.
 const MEASURED_WINDOWS: u64 = 40;
@@ -192,13 +191,12 @@ fn steady_state_windows_allocate_nothing() {
 
     // --- Subject 3: the capacity sweep's per-point target reduction. ---
     // The surrogate training sweep reduces every fleet report to its
-    // target vector through `SweepScratch`: histogram reset + re-bucket,
-    // reservoir percentile into a reused sort buffer, values into a
-    // reused `Vec<f64>`. After one warm-up reduction has grown the
-    // buffers and seeded the registry keys, reducing another report
-    // must not touch the heap. (The fleet simulation producing the
-    // report, and the one names-clone materializing a `TrainingSample`,
-    // allocate by design and stay outside the measured region.)
+    // target values — mean, p50 and p95 read off the response-time
+    // histogram, plus the thermal and DTM gauges — in a fixed-size
+    // array, so reducing a report must not touch the heap. (The fleet
+    // simulation producing the report, and naming the values for a
+    // `TrainingSample`, allocate by design and stay outside the
+    // measured region.)
     let spec = disklab::sweep::SweepSpec {
         preset: "oltp".into(),
         rows: 1,
@@ -210,14 +208,13 @@ fn steady_state_windows_allocate_nothing() {
         inlets_c: vec![28.0],
         dtm: vec![0.0],
     };
-    let mut scratch = disklab::sweep::SweepScratch::new();
     let report = spec
-        .simulate(&[200.0, 4.0, 2.0, 28.0, 0.0], &mut scratch)
+        .simulate(&[200.0, 4.0, 2.0, 28.0, 0.0], &mut Vec::new())
         .expect("sweep point simulates");
-    disklab::sweep::reduce_targets(&report, &mut scratch);
     let before = allocations();
+    let mut targets = [0.0; disklab::sweep::TARGETS.len()];
     for _ in 0..64 {
-        disklab::sweep::reduce_targets(&report, &mut scratch);
+        targets = std::hint::black_box(disklab::sweep::reduce_targets(&report));
     }
     let sweep_allocs = allocations() - before;
     assert_eq!(
@@ -225,7 +222,7 @@ fn steady_state_windows_allocate_nothing() {
         "sweep target reduction allocated {sweep_allocs} times in steady state"
     );
     assert!(
-        scratch.values.iter().all(|v| v.is_finite()),
+        targets.iter().all(|v| v.is_finite()),
         "reduced targets stay finite"
     );
 
