@@ -58,6 +58,11 @@ pub use units;
 pub use workloads;
 
 /// The most commonly used types, importable in one line.
+///
+/// The closed DTM loop is `diskfleet::Fleet` (one drive is a one-bay
+/// fleet); [`ThrottlePolicy`](dtm::ThrottlePolicy) is the mechanism its
+/// `FleetDtmPolicy::Throttle` takes and the throttling-ratio analysis
+/// studies.
 pub mod prelude {
     pub use crate::drives::{self, DriveRecord};
     pub use crate::{DesignError, DriveDesign};
@@ -70,7 +75,7 @@ pub mod prelude {
         DriveThermalSpec, OperatingPoint, ThermalModel, ThermalParams, TransientSim,
         THERMAL_ENVELOPE,
     };
-    pub use dtm::{DtmController, DtmPolicy, ThrottlePolicy};
+    pub use dtm::ThrottlePolicy;
     pub use roadmap::{envelope_roadmap, required_rpm_table, RoadmapConfig, TechnologyTrend};
     pub use units::{
         BitsPerInch, Capacity, Celsius, DataRate, Inches, Power, Rpm, Seconds, TempDelta,

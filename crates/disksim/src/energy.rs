@@ -68,7 +68,8 @@ pub struct EnergyReport {
     pub vcm_j: f64,
     /// Electronics energy.
     pub electronics_j: f64,
-    /// Wall-clock time metered.
+    /// Time metered, summed over the metered disks (a meter covering
+    /// a four-disk array for one second reports four).
     pub elapsed: Seconds,
 }
 
@@ -78,7 +79,7 @@ impl EnergyReport {
         self.spindle_j + self.vcm_j + self.electronics_j
     }
 
-    /// Mean power over the metered interval.
+    /// Mean power per metered disk over the metered interval.
     pub fn mean_power(&self) -> Power {
         if self.elapsed.get() <= 0.0 {
             Power::ZERO
@@ -92,7 +93,9 @@ impl EnergyReport {
 ///
 /// The meter is sampling-based so it stays correct when a DTM policy
 /// changes the spindle speed mid-run: the caller reports each window's
-/// speed and the seek time that actually occurred in it.
+/// speed and the seek time that actually occurred in it. The spindle
+/// power is recomputed only when the reported speed changes, so a meter
+/// whose speed holds evaluates no power law per window.
 ///
 /// # Examples
 ///
@@ -107,18 +110,27 @@ impl EnergyReport {
 /// assert!((report.spindle_j - 8.0).abs() < 1e-9);
 /// assert!((report.vcm_j - 3.9 * 0.5).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyMeter {
     model: EnergyModel,
     report: EnergyReport,
+    /// Spindle power at the last metered speed, watts.
+    spindle: Option<(Rpm, f64)>,
 }
 
 impl EnergyMeter {
     /// Creates a meter with the given coefficients.
     pub fn new(model: EnergyModel) -> Self {
+        Self::resume(model, EnergyReport::default())
+    }
+
+    /// A meter that continues from an earlier `report` (a restored
+    /// checkpoint).
+    pub fn resume(model: EnergyModel, report: EnergyReport) -> Self {
         Self {
             model,
-            report: EnergyReport::default(),
+            report,
+            spindle: None,
         }
     }
 
@@ -134,6 +146,7 @@ impl EnergyMeter {
     ///
     /// Panics in debug builds if `seek_time > elapsed` or either is
     /// negative.
+    #[inline]
     pub fn accumulate(&mut self, rpm: Rpm, seek_time: Seconds, elapsed: Seconds) {
         debug_assert!(elapsed.get() >= 0.0 && seek_time.get() >= 0.0);
         debug_assert!(
@@ -141,7 +154,15 @@ impl EnergyMeter {
             "actuator cannot seek longer than the window"
         );
         let dt = elapsed.get();
-        self.report.spindle_j += self.model.spindle_power(rpm).get() * dt;
+        let spindle_w = match self.spindle {
+            Some((at, watts)) if at == rpm => watts,
+            _ => {
+                let watts = self.model.spindle_power(rpm).get();
+                self.spindle = Some((rpm, watts));
+                watts
+            }
+        };
+        self.report.spindle_j += spindle_w * dt;
         self.report.vcm_j += self.model.vcm_watts * seek_time.get();
         self.report.electronics_j += self.model.electronics_watts * dt;
         self.report.elapsed += elapsed;
@@ -195,6 +216,19 @@ mod tests {
         fast.accumulate(Rpm::new(20_000.0), Seconds::ZERO, Seconds::new(1.0));
         slow.accumulate(Rpm::new(12_000.0), Seconds::ZERO, Seconds::new(1.0));
         assert!(slow.report().spindle_j < fast.report().spindle_j * 0.3);
+    }
+
+    #[test]
+    fn a_speed_change_reprices_the_spindle() {
+        // The cached spindle power follows every change of speed.
+        let m = EnergyModel::default();
+        let mut meter = EnergyMeter::new(m);
+        let mut expected = 0.0;
+        for rpm in [10_000.0, 10_000.0, 20_000.0, 10_000.0] {
+            meter.accumulate(Rpm::new(rpm), Seconds::ZERO, Seconds::new(1.0));
+            expected += m.spindle_power(Rpm::new(rpm)).get();
+        }
+        assert_eq!(meter.report().spindle_j, expected);
     }
 
     #[test]

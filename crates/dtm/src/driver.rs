@@ -1,14 +1,12 @@
-//! The shared submit/advance/measure loop under every closed-loop DTM
-//! consumer.
+//! The submit/advance/measure body of the closed DTM loop.
 //!
-//! [`DtmController`](crate::DtmController) and every enclosure of the
-//! fleet in `diskfleet` advance a storage simulation in fixed control
-//! windows, measure the actuator duty the served requests actually
-//! produced, and feed it to the thermal transient at the drive's
-//! current spindle speed. [`WindowedDrive`]
-//! owns that loop body once: one storage system (a single disk or a
-//! whole array) coupled to one thermal transient, advanced a window at
-//! a time.
+//! Every enclosure of the fleet in `diskfleet` advances a storage
+//! simulation in fixed control windows, measures the actuator duty the
+//! served requests actually produced, and feeds it to the thermal
+//! transient at the drive's current spindle speed. [`WindowedDrive`]
+//! owns that loop body: one storage system (a single disk or a whole
+//! array) coupled to one thermal transient, advanced a sync epoch at a
+//! time through [`WindowedDrive::serve_epoch`].
 
 use disksim::{Completion, Request, SimError, StorageSystem, SystemState};
 use diskthermal::{
@@ -71,15 +69,10 @@ impl WindowedDrive {
 
     /// Restarts the thermal state from explicit node temperatures.
     pub fn with_initial_temps(mut self, temps: NodeTemps) -> Self {
-        self.set_initial_temps(temps);
-        self
-    }
-
-    /// Restarts the thermal state from explicit node temperatures.
-    pub fn set_initial_temps(&mut self, temps: NodeTemps) {
         self.sim = TransientSim::with_initial(temps)
             .with_step(THERMAL_STEP)
             .expect("constant step is positive");
+        self
     }
 
     /// Replaces the local ambient (inlet) temperature, rebuilding the
@@ -98,7 +91,7 @@ impl WindowedDrive {
     /// # Errors
     ///
     /// Propagates submission errors.
-    pub fn admit_until(
+    fn admit_until(
         &mut self,
         pending: &mut VecDeque<Request>,
         window_end: Seconds,
@@ -119,7 +112,7 @@ impl WindowedDrive {
     /// actuator duty the window actually produced across all member
     /// disks, steps the thermal transient at that operating point, and
     /// returns the sample.
-    pub fn serve_window(
+    fn serve_window(
         &mut self,
         window_end: Seconds,
         window: Seconds,
@@ -215,13 +208,8 @@ impl WindowedDrive {
         self.system.set_sink(sink);
     }
 
-    /// Drains buffered trace events from the underlying system's sink.
-    pub fn drain_events(&mut self) -> Vec<diskobs::TimedEvent> {
-        self.system.drain_events()
-    }
-
-    /// Like [`Self::drain_events`], but appends into `out`, reusing the
-    /// caller's batch buffer.
+    /// Drains buffered trace events from the underlying system's sink,
+    /// appending into `out` (the caller's reused batch buffer).
     pub fn drain_events_into(&mut self, out: &mut Vec<diskobs::TimedEvent>) {
         self.system.drain_events_into(out);
     }

@@ -12,12 +12,10 @@
 //!   (optionally also dropping to a lower spindle speed) whenever the
 //!   temperature nears the limit — Figures 6 and 7's throttling-ratio
 //!   analysis.
-//! - A **closed-loop controller** ([`DtmController`]) that couples the
-//!   trace-driven simulator with the thermal transient model and
-//!   enforces the envelope on-line — the control-policy evaluation the
-//!   paper leaves as future work. Its throttle and speed-scaling arms,
-//!   and the fleet coordinator in `diskfleet`, share one trip/resume
-//!   rule ([`trip`]).
+//! - The **trip/resume rule** ([`trip`]) and the **windowed drive**
+//!   ([`WindowedDrive`]) every closed DTM loop runs on. The loop itself
+//!   — the control-policy evaluation the paper leaves as future work —
+//!   is the fleet in `diskfleet`; one drive is a one-bay fleet.
 //!
 //! # Examples
 //!
@@ -39,7 +37,7 @@ mod driver;
 mod slack;
 mod throttle;
 
-pub use controller::{trip, DtmController, DtmPolicy, DtmReport};
+pub use controller::trip;
 pub use driver::{DriveState, WindowSample, WindowedDrive};
 pub use slack::{slack_roadmap, slack_table, SlackConfig, SlackRoadmapPoint, SlackRow};
 pub use throttle::{throttling_curve, throttling_ratio, ThrottleExperiment, ThrottlePolicy};

@@ -1,15 +1,13 @@
 //! The rack-scale airflow graph.
 //!
 //! §4.2.2 models a drive's internal-air temperature against the ambient
-//! at its *inlet*; `diskthermal::array` chains that model along one
-//! serial airflow to show downstream bays running hotter. This module
-//! generalizes the chain to a directed acyclic coupling graph: each
-//! drive's local ambient is the rack inlet plus a weighted sum of
-//! upstream drives' exhaust heat, `T_i = T_inlet + Σ_j k_ij · P_j`, with
+//! at its *inlet*; along one serial airflow, downstream bays run
+//! hotter. This module generalizes that chain to a directed acyclic
+//! coupling graph: each drive's local ambient is the rack inlet plus a
+//! weighted sum of upstream drives' exhaust heat, `T_i = T_inlet + Σ_j k_ij · P_j`, with
 //! `k_ij` in kelvin per watt. The network stays linear — drive heat
 //! output does not depend on temperature — so one pass per sync epoch
-//! suffices, exactly like [`diskthermal::AirflowPath::bay_states`]'s
-//! single-pass argument.
+//! suffices.
 //!
 //! Two topologies share that contract. [`AirflowGraph::new`] (and the
 //! `serial` / `columns` shorthands) store the coupling lists
@@ -154,7 +152,7 @@ impl AirflowGraph {
 
     /// One serial airflow path: every drive is preheated by *all* drives
     /// before it, each contributing `1 / stream_w_per_k` kelvin per watt
-    /// — the rack-scale version of [`diskthermal::AirflowPath`].
+    /// — the bays of one row cooled by one stream.
     ///
     /// # Errors
     ///

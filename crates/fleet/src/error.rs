@@ -22,6 +22,12 @@ pub enum FleetError {
         /// Enclosures in the fleet.
         fleet: usize,
     },
+    /// A trace request's arrival is NaN or infinite, so the trace has
+    /// no arrival order.
+    NonFiniteArrival {
+        /// Id of the first such request in trace order.
+        id: u64,
+    },
     /// A run reached 24 hours of sim time with work still pending — a
     /// DTM policy that gates every drive forever never drains.
     SimTimeCap {
@@ -40,6 +46,9 @@ impl fmt::Display for FleetError {
             FleetError::Config(msg) => write!(f, "fleet configuration error: {msg}"),
             FleetError::NoSuchEnclosure { enclosure, fleet } => {
                 write!(f, "enclosure {enclosure} requested but the fleet has {fleet}")
+            }
+            FleetError::NonFiniteArrival { id } => {
+                write!(f, "request {id} has a non-finite arrival time")
             }
             FleetError::SimTimeCap { at, pending } => write!(
                 f,

@@ -23,11 +23,14 @@ use crate::airflow::{rack_heats, AirflowGraph};
 use crate::coordinator::{Coordinator, CoordinatorState, CtlProposal, FleetDtmPolicy};
 use crate::error::FleetError;
 use crate::routing::{Router, RoutingPolicy, RoutingScratch};
-use disksim::{Completion, DiskSpec, Request, ResponseStats, StorageSystem, SystemConfig};
+use disksim::{
+    Completion, DiskSpec, EnergyMeter, EnergyModel, EnergyReport, Request, ResponseStats,
+    StorageSystem, SystemConfig,
+};
 use dtm::{DriveState, WindowSample, WindowedDrive};
 use diskthermal::{
-    drive_heat_estimate, DriveThermalSpec, OperatingPoint, ThermalModel, ThermalParams,
-    THERMAL_ENVELOPE,
+    drive_heat_estimate, DriveThermalSpec, HeldReading, NodeTemps, OperatingPoint, TempSensor,
+    ThermalModel, ThermalParams, THERMAL_ENVELOPE,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -124,15 +127,26 @@ pub struct FleetConfig {
     pub dtm: FleetDtmPolicy,
     /// The shared thermal envelope.
     pub envelope: Celsius,
-    /// Control-window length (default 250 ms, matching
-    /// `dtm::DtmController`).
+    /// Control-window length (default 250 ms): the drives' thermal
+    /// transients and duty measurements advance one window at a time.
     pub window: Seconds,
     /// Control windows between thermal-coupling sync epochs (default 4,
-    /// i.e. 1 s epochs).
+    /// i.e. 1 s epochs). The coordinator decides once per epoch, so a
+    /// single drive under per-window control is a one-bay fleet with
+    /// one window per epoch.
     pub windows_per_epoch: usize,
     /// Shards for the parallel event loop. Results are byte-identical
     /// at any value; this only trades wall-clock time.
     pub threads: usize,
+    /// What the coordinator reads each bay's air through (default
+    /// [`TempSensor::ideal`]: the reading is the true air). A realistic
+    /// sensor (e.g. [`TempSensor::smart_style`]) needs policy margins
+    /// covering its under-reporting.
+    pub sensor: TempSensor,
+    /// Node temperatures every bay starts from. `None` (the default)
+    /// starts each bay at its idle-preheated steady state: the rack has
+    /// been idling, not sitting in pristine inlet air.
+    pub start: Option<NodeTemps>,
 }
 
 impl FleetConfig {
@@ -162,6 +176,8 @@ impl FleetConfig {
             window: Seconds::from_millis(250.0),
             windows_per_epoch: 4,
             threads: 1,
+            sensor: TempSensor::ideal(),
+            start: None,
         })
     }
 }
@@ -182,6 +198,11 @@ struct Enclosure {
     time_over: Seconds,
     time_gated: Seconds,
     time_scaled: Seconds,
+    time_boosted: Seconds,
+    /// The reading the fleet's sensor holds for this bay between polls.
+    held: HeldReading,
+    /// Spindle, actuator and electronics energy of the bay's disks.
+    energy: EnergyMeter,
     /// Whether the coordinator gates this bay for the current epoch
     /// (written serially at the epoch boundary, read by the shard).
     epoch_gated: bool,
@@ -223,6 +244,9 @@ struct EnclosureState {
     time_over: Seconds,
     time_gated: Seconds,
     time_scaled: Seconds,
+    time_boosted: Seconds,
+    held: HeldReading,
+    energy: EnergyReport,
     epoch_duty: f64,
     epoch_util: f64,
     stats: ResponseStats,
@@ -233,6 +257,7 @@ impl Enclosure {
     fn fresh(drive: WindowedDrive, capacity: u64, ambient: Celsius) -> Self {
         Self {
             max_air: drive.air(),
+            energy: EnergyMeter::new(energy_model(drive.model())),
             drive,
             pending: VecDeque::new(),
             capacity,
@@ -245,6 +270,8 @@ impl Enclosure {
             time_over: Seconds::ZERO,
             time_gated: Seconds::ZERO,
             time_scaled: Seconds::ZERO,
+            time_boosted: Seconds::ZERO,
+            held: None,
             epoch_gated: false,
             completions: Vec::new(),
             samples: Vec::new(),
@@ -271,6 +298,9 @@ impl Enclosure {
             time_over: self.time_over,
             time_gated: self.time_gated,
             time_scaled: self.time_scaled,
+            time_boosted: self.time_boosted,
+            held: self.held,
+            energy: self.energy.report(),
             epoch_duty: self.epoch_duty,
             epoch_util: self.epoch_util,
             stats: self.stats.clone(),
@@ -279,8 +309,10 @@ impl Enclosure {
 
     /// Rebuilds a bay mid-flight from a captured state.
     fn restore_state(state: EnclosureState) -> Result<Self, FleetError> {
+        let drive = WindowedDrive::restore_state(state.drive)?;
         Ok(Self {
-            drive: WindowedDrive::restore_state(state.drive)?,
+            energy: EnergyMeter::resume(energy_model(drive.model()), state.energy),
+            drive,
             pending: state.pending.into(),
             capacity: state.capacity,
             routed: state.routed,
@@ -293,6 +325,8 @@ impl Enclosure {
             time_over: state.time_over,
             time_gated: state.time_gated,
             time_scaled: state.time_scaled,
+            time_boosted: state.time_boosted,
+            held: state.held,
             epoch_gated: false,
             completions: Vec::new(),
             samples: Vec::new(),
@@ -305,8 +339,8 @@ impl Enclosure {
 
     /// Advances one sync epoch through
     /// [`WindowedDrive::serve_epoch`], folding the window samples into
-    /// the bay's accumulated statistics. Everything lands in the bay's
-    /// own scratch (`completions`, `samples`, `epoch_duty`,
+    /// the bay's accumulated statistics and energy. Everything lands in
+    /// the bay's own scratch (`completions`, `samples`, `epoch_duty`,
     /// `epoch_util`), so the parallel phase allocates nothing and
     /// returns nothing.
     fn advance_epoch(
@@ -346,6 +380,12 @@ impl Enclosure {
         self.samples = samples;
         self.epoch_duty = duty_sum / windows as f64;
         self.epoch_util = util_sum / windows as f64;
+        // Speeds change only at epoch boundaries, so the epoch's speed
+        // and mean duty meter it exactly.
+        let disks = self.drive.system().disks().len() as f64;
+        let epoch = window * windows as f64;
+        self.energy
+            .accumulate(self.drive.rpm(), epoch * (self.epoch_duty * disks), epoch * disks);
     }
 }
 
@@ -359,6 +399,7 @@ struct EpochCtx {
     epoch_end: f64,
     epoch_len: Seconds,
     sink_enabled: bool,
+    sensor: TempSensor,
 }
 
 /// Hot per-drive state in structure-of-arrays layout. The serial
@@ -515,7 +556,7 @@ impl FleetHotState {
         let (air, heat) = (&air[..], &heat[..]);
         let (rack_base, flat_ambients) = (&rack_base[..], &flat_ambients[..]);
 
-        // One bay: couple, snapshot, propose, actuate, account.
+        // One bay: couple, sense, snapshot, propose, actuate, account.
         let one = |i: usize,
                    e: &mut Enclosure,
                    ambient: Celsius,
@@ -525,7 +566,18 @@ impl FleetHotState {
             e.drive.set_ambient(ambient);
             e.max_local_ambient = e.max_local_ambient.max(ambient);
             let depth = e.drive.in_flight() + e.pending.len() as u64;
+            let sensed = ctx.sensor.read(&mut e.held, Seconds::new(ctx.epoch_end), air[i]);
             if ctx.sink_enabled {
+                if !ctx.sensor.is_ideal() {
+                    e.run.push(diskobs::TimedEvent {
+                        t: ctx.epoch_end,
+                        event: diskobs::Event::SensorReading {
+                            drive: i,
+                            sensed_c: sensed.get(),
+                            actual_c: air[i].get(),
+                        },
+                    });
+                }
                 e.run.push(diskobs::TimedEvent {
                     t: ctx.epoch_end,
                     event: diskobs::Event::Snapshot {
@@ -540,7 +592,7 @@ impl FleetHotState {
                     },
                 });
             }
-            let p = coordinator.propose(i, air[i]);
+            let p = coordinator.propose(i, sensed);
             if let Some(rpm) = p.rpm {
                 e.drive.set_all_rpm(rpm);
             }
@@ -558,6 +610,9 @@ impl FleetHotState {
             }
             if p.scales() {
                 e.time_scaled += ctx.epoch_len;
+            }
+            if p.boosts() {
+                e.time_boosted += ctx.epoch_len;
             }
             *depth_out = depth;
             *gate_out = p.gates();
@@ -648,6 +703,11 @@ pub struct EnclosureReport {
     pub time_gated: Seconds,
     /// Time spent downshifted by the coordinator.
     pub time_scaled: Seconds,
+    /// Time spent boosted by the slack ramp.
+    pub time_boosted: Seconds,
+    /// Energy the bay's disks consumed, summed over its members (so
+    /// `elapsed` counts each member disk's time).
+    pub energy: EnergyReport,
 }
 
 /// Outcome of a fleet run.
@@ -720,6 +780,7 @@ pub struct Fleet {
     window: Seconds,
     windows_per_epoch: usize,
     threads: usize,
+    sensor: TempSensor,
     /// Requests accepted but not yet routed, in arrival order.
     incoming: VecDeque<Request>,
     epochs: u64,
@@ -766,6 +827,7 @@ pub struct FleetState {
     window: Seconds,
     windows_per_epoch: usize,
     threads: usize,
+    sensor: TempSensor,
     incoming: Vec<Request>,
     epochs: u64,
     now: Seconds,
@@ -793,10 +855,10 @@ impl FleetState {
 }
 
 impl Fleet {
-    /// Assembles the fleet: one single-disk `StorageSystem` per airflow
-    /// node, each thermally hot-started at its *preheated* idle steady
-    /// state (the rack has been idling, not sitting in pristine inlet
-    /// air).
+    /// Assembles the fleet: one single-disk `StorageSystem` (or RAID-5
+    /// array) per airflow node, each started at `config.start` or, by
+    /// default, thermally hot-started at its *preheated* idle steady
+    /// state.
     ///
     /// # Errors
     ///
@@ -810,25 +872,15 @@ impl Fleet {
             return Err(FleetError::Config("an epoch needs at least one window".into()));
         }
         let n = config.airflow.len();
-
-        // Idle preheat decides the starting thermal state of every bay.
-        let rpm = config.spec.rpm();
-        let idle = OperatingPoint::idle_vcm(rpm);
-        let idle_heat = drive_heat_estimate(&config.thermal, idle).get();
-        let ambients = config.airflow.local_ambients(&vec![idle_heat; n]);
-
         let mut enclosures = Vec::with_capacity(n);
-        for ambient in ambients {
-            let system = StorageSystem::new(bay_config(&config.spec, config.array)?)?;
-            let capacity = system.logical_sectors();
-            let model = ThermalModel::with_params(
-                config.thermal.with_ambient(ambient),
-                ThermalParams::default(),
-            );
-            let start = model.steady_state(idle);
-            let drive = WindowedDrive::new(system, model).with_initial_temps(start);
-            enclosures.push(Enclosure::fresh(drive, capacity, ambient));
-        }
+        assemble_bays(
+            &mut enclosures,
+            &config.spec,
+            config.array,
+            &config.thermal,
+            &config.airflow,
+            config.start,
+        )?;
 
         Ok(Self {
             enclosures,
@@ -839,6 +891,7 @@ impl Fleet {
             window: config.window,
             windows_per_epoch: config.windows_per_epoch,
             threads: config.threads.max(1),
+            sensor: config.sensor,
             incoming: VecDeque::new(),
             epochs: 0,
             now: Seconds::ZERO,
@@ -871,10 +924,11 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// [`FleetError::SimTimeCap`] when 24 hours of sim time pass with
-    /// requests still pending (a DTM policy that never releases a gated
-    /// drive). Remapping keeps every submission in range, so nothing
-    /// else fails after construction.
+    /// [`FleetError::NonFiniteArrival`] naming the first request whose
+    /// arrival is NaN or infinite; [`FleetError::SimTimeCap`] when 24
+    /// hours of sim time pass with requests still pending (a DTM policy
+    /// that never releases a gated drive). Remapping keeps every
+    /// submission in range, so nothing else fails after construction.
     pub fn run(self, trace: Vec<Request>) -> Result<FleetReport, FleetError> {
         let mut sink = diskobs::Sink::null();
         self.run_with_sink(trace, &mut sink)
@@ -925,15 +979,18 @@ impl Fleet {
         sink: &mut diskobs::Sink,
         profile: &mut FleetPhaseProfile,
     ) -> Result<FleetReport, FleetError> {
+        if let Some(r) = trace.iter().find(|r| !r.arrival.get().is_finite()) {
+            return Err(FleetError::NonFiniteArrival { id: r.id });
+        }
         if sink.is_enabled() {
             self.enable_drive_sinks();
         }
-        // Deterministic arrival order whatever the caller produced.
+        // Deterministic arrival order whatever the caller produced: the
+        // order `offer` and the drives' arrival queues keep.
         trace.sort_by(|a, b| {
             a.arrival
                 .get()
-                .partial_cmp(&b.arrival.get())
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .total_cmp(&b.arrival.get())
                 .then(a.id.cmp(&b.id))
         });
         self.incoming = trace.into();
@@ -1050,6 +1107,7 @@ impl Fleet {
             epoch_end: epoch_end.get(),
             epoch_len,
             sink_enabled: sink.is_enabled(),
+            sensor: self.sensor,
         };
 
         // Serial reduce 1 — the routing commit. Placements score the
@@ -1242,6 +1300,8 @@ impl Fleet {
                 time_over_envelope: e.time_over,
                 time_gated: e.time_gated,
                 time_scaled: e.time_scaled,
+                time_boosted: e.time_boosted,
+                energy: e.energy.report(),
             })
             .collect();
 
@@ -1426,9 +1486,9 @@ impl Fleet {
 
     /// Grows the fleet in place: `airflow` replaces the coupling graph
     /// and must contain every existing bay (same indices) plus the new
-    /// ones at the tail. New bays are assembled exactly as
-    /// [`Self::new`] would — idle-preheated against the new graph —
-    /// and the coordinator primes them through its policy.
+    /// ones at the tail. New bays are assembled as [`Self::new`] would
+    /// without a start temperature — idle-preheated against the new
+    /// graph — and the coordinator primes them through its policy.
     ///
     /// # Errors
     ///
@@ -1447,19 +1507,7 @@ impl Fleet {
                 "replacement airflow graph must grow the fleet: {n} nodes for {old} existing bays"
             )));
         }
-        let rpm = spec.rpm();
-        let idle = OperatingPoint::idle_vcm(rpm);
-        let idle_heat = drive_heat_estimate(thermal, idle).get();
-        let ambients = airflow.local_ambients(&vec![idle_heat; n]);
-        for ambient in ambients.into_iter().skip(old) {
-            let system = StorageSystem::new(bay_config(spec, self.array)?)?;
-            let capacity = system.logical_sectors();
-            let model =
-                ThermalModel::with_params(thermal.with_ambient(ambient), ThermalParams::default());
-            let start = model.steady_state(idle);
-            let drive = WindowedDrive::new(system, model).with_initial_temps(start);
-            self.enclosures.push(Enclosure::fresh(drive, capacity, ambient));
-        }
+        assemble_bays(&mut self.enclosures, spec, self.array, thermal, &airflow, None)?;
         self.airflow = airflow;
         self.coordinator
             .grow(n - old, |i, rpm| self.enclosures[i].drive.set_all_rpm(rpm));
@@ -1478,6 +1526,7 @@ impl Fleet {
             window: self.window,
             windows_per_epoch: self.windows_per_epoch,
             threads: self.threads,
+            sensor: self.sensor,
             incoming: self.incoming.iter().copied().collect(),
             epochs: self.epochs,
             now: self.now,
@@ -1554,6 +1603,7 @@ impl Fleet {
             window: state.window,
             windows_per_epoch: state.windows_per_epoch,
             threads: state.threads.max(1),
+            sensor: state.sensor,
             incoming: state.incoming.into(),
             epochs: state.epochs,
             now: state.now,
@@ -1567,6 +1617,41 @@ impl Fleet {
             routing_run: Vec::new(),
             merge_entries: Vec::new(),
         })
+    }
+}
+
+/// Appends the bays of `airflow` past those already in `bays`, each
+/// started at `start` or, when `None`, at its idle-preheated steady
+/// state under the local ambient the idling bays upstream produce.
+fn assemble_bays(
+    bays: &mut Vec<Enclosure>,
+    spec: &DiskSpec,
+    array: Option<EnclosureArray>,
+    thermal: &DriveThermalSpec,
+    airflow: &AirflowGraph,
+    start: Option<NodeTemps>,
+) -> Result<(), FleetError> {
+    let idle = OperatingPoint::idle_vcm(spec.rpm());
+    let idle_heat = drive_heat_estimate(thermal, idle).get();
+    let ambients = airflow.local_ambients(&vec![idle_heat; airflow.len()]);
+    for ambient in ambients.into_iter().skip(bays.len()) {
+        let system = StorageSystem::new(bay_config(spec, array)?)?;
+        let capacity = system.logical_sectors();
+        let model =
+            ThermalModel::with_params(thermal.with_ambient(ambient), ThermalParams::default());
+        let temps = start.unwrap_or_else(|| model.steady_state(idle));
+        let drive = WindowedDrive::new(system, model).with_initial_temps(temps);
+        bays.push(Enclosure::fresh(drive, capacity, ambient));
+    }
+    Ok(())
+}
+
+/// The energy coefficients of a bay's disks: the defaults with the
+/// drive's own actuator power.
+fn energy_model(model: &ThermalModel) -> EnergyModel {
+    EnergyModel {
+        vcm_watts: model.spec().vcm_power().get(),
+        ..EnergyModel::default()
     }
 }
 
@@ -1637,6 +1722,7 @@ mod tests {
         let mut cfg = config(1, 15_020.0, 12.0);
         cfg.envelope = Celsius::new(20.0);
         cfg.dtm = FleetDtmPolicy::Throttle {
+            mechanism: dtm::ThrottlePolicy::VcmOnly { rpm: Rpm::new(15_020.0) },
             guard: TempDelta::new(0.3),
             resume_margin: TempDelta::new(0.3),
         };
@@ -1710,6 +1796,7 @@ mod tests {
                 envelope: THERMAL_ENVELOPE,
             };
             cfg.dtm = FleetDtmPolicy::Throttle {
+                mechanism: dtm::ThrottlePolicy::VcmOnly { rpm: Rpm::new(15_020.0) },
                 guard: TempDelta::new(0.3),
                 resume_margin: TempDelta::new(0.3),
             };
@@ -1757,6 +1844,7 @@ mod tests {
             base.max_air
         );
         let gated = run(FleetDtmPolicy::Throttle {
+            mechanism: dtm::ThrottlePolicy::VcmOnly { rpm: Rpm::new(24_534.0) },
             guard: TempDelta::new(0.1),
             resume_margin: TempDelta::new(0.2),
         });
@@ -1896,6 +1984,39 @@ mod tests {
         fleet.step_epoch(&mut sink, &mut profile);
         assert_eq!(fleet.report().per_enclosure[0].routed, 2, "both 0.1 s requests route");
         assert_eq!(fleet.stats_count(), fleet.stats().count());
+    }
+
+    #[test]
+    fn a_restored_fleet_resumes_its_sensor_ramp_and_energy_exactly() {
+        // The held sensor reading, the slack-ramp state, boosted time
+        // and energy all ride in the checkpoint: a fleet restored
+        // mid-run from its JSON state continues byte for byte.
+        let mut cfg = config(2, 15_020.0, 10.0);
+        cfg.dtm = FleetDtmPolicy::SlackRamp {
+            base: Rpm::new(15_020.0),
+            high: Rpm::new(26_000.0),
+            slack_margin: TempDelta::new(0.5),
+        };
+        cfg.sensor = TempSensor::smart_style();
+        cfg.windows_per_epoch = 1;
+        cfg.start = Some(NodeTemps::uniform(Celsius::new(43.8)));
+        let mut fleet = Fleet::new(cfg).unwrap();
+        fleet.offer(trace(1_200, 300.0));
+        let mut sink = diskobs::Sink::null();
+        let mut profile = FleetPhaseProfile::default();
+        for _ in 0..6 {
+            fleet.step_epoch(&mut sink, &mut profile);
+        }
+        let json = serde_json::to_string(&fleet.capture_state()).unwrap();
+        let mut restored = Fleet::restore_state(serde_json::from_str(&json).unwrap()).unwrap();
+        for _ in 0..10 {
+            fleet.step_epoch(&mut sink, &mut profile);
+            restored.step_epoch(&mut sink, &mut profile);
+        }
+        let (a, b) = (fleet.report(), restored.report());
+        assert!(a.per_enclosure.iter().any(|e| e.time_boosted.get() > 0.0));
+        assert!(a.per_enclosure.iter().all(|e| e.energy.total_j() > 0.0));
+        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
     }
 
     #[test]

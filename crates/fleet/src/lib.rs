@@ -12,13 +12,19 @@
 //!   least-queue, and thermal-aware placement weighted by thermal slack
 //!   — the §5.4 idea of steering reads away from a hot drive, across N
 //!   drives;
-//! - a fleet-level **DTM coordinator** ([`FleetDtmPolicy`]) applying
-//!   per-drive RPM ramp (§5.2) or admission-throttle (§5.3) decisions
-//!   under one shared envelope, through the trip rule `dtm::trip` that
-//!   the single-drive controller uses too;
+//! - a **DTM coordinator** ([`FleetDtmPolicy`]) applying per-drive
+//!   speed scaling or slack-ramp (§5.2) and admission-throttle (§5.3)
+//!   decisions under one shared envelope, on each drive's air as a
+//!   configurable sensor reads it, through the trip rule `dtm::trip`;
 //! - a **sharded deterministic event loop** ([`Fleet::run`]) advancing
 //!   enclosures in parallel between thermal-coupling sync epochs,
-//!   byte-identical at any thread count.
+//!   byte-identical at any thread count, with per-bay temperature,
+//!   DTM-time and energy accounting ([`EnclosureReport`]).
+//!
+//! This is the repository's one closed DTM loop: a single drive under
+//! per-window control is a one-bay fleet with one window per epoch
+//! (`windows_per_epoch = 1`), started where the caller says
+//! ([`FleetConfig::start`]).
 //!
 //! # Examples
 //!

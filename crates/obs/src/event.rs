@@ -42,22 +42,7 @@ pub enum Event {
         /// Speed after the transition, RPM.
         to: f64,
     },
-    /// Admission gating engaged (throttle policies).
-    ThrottleEngage {
-        /// Drive index within the traced scope.
-        drive: usize,
-        /// Sensed air temperature that tripped the gate, Celsius.
-        sensed_c: f64,
-    },
-    /// Admission gating released.
-    ThrottleDisengage {
-        /// Drive index within the traced scope.
-        drive: usize,
-        /// Sensed air temperature at release, Celsius.
-        sensed_c: f64,
-    },
-    /// A control-loop actor (controller or fleet coordinator) acted on
-    /// a drive.
+    /// The fleet coordinator acted on a drive.
     CoordinatorAction {
         /// Drive index within the traced scope.
         drive: usize,
@@ -212,8 +197,6 @@ mod tests {
         let variants = vec![
             Event::RequestComplete { id: 1, start: 0.5, response_ms: 12.0 },
             Event::RpmTransition { drive: 2, from: 15_020.0, to: 12_000.0 },
-            Event::ThrottleEngage { drive: 0, sensed_c: 44.0 },
-            Event::ThrottleDisengage { drive: 0, sensed_c: 43.0 },
             Event::CoordinatorAction { drive: 1, action: "downshift" },
             Event::RoutingDecision { request: 9, drive: 3 },
             Event::SensorReading { drive: 0, sensed_c: 44.0, actual_c: 44.7 },

@@ -8,8 +8,8 @@
 //! the workspace threads through its hot paths:
 //!
 //! - [`Event`] / [`TimedEvent`]: a typed event vocabulary (request
-//!   issue/complete, RPM transitions, throttle engage/disengage,
-//!   coordinator actions, routing decisions, sensor readings, periodic
+//!   issue/complete, RPM transitions, coordinator actions (gate and
+//!   ungate among them), routing decisions, sensor readings, periodic
 //!   snapshots) stamped with **simulated time**, never wall time, so a
 //!   trace is byte-identical at any thread or shard count.
 //! - [`Sink`]: the per-component emission point. The default
@@ -17,8 +17,8 @@
 //!   never constructs the event (construction is deferred behind a
 //!   closure), so instrumented hot paths stay within noise of
 //!   uninstrumented ones — `BENCH_obs.json` pins that claim.
-//! - [`Recorder`] implementations for real use: [`NullRecorder`],
-//!   a bounded [`RingRecorder`], and a streaming [`NdjsonRecorder`].
+//! - [`Recorder`]: where a sink streams events; [`NdjsonRecorder`]
+//!   writes them as NDJSON.
 //! - [`Histogram`]: the one distribution type, a mergeable log-linear
 //!   histogram (64 buckets per octave read off the `f64` bit pattern)
 //!   with exact count, sum, min and max. `disksim::ResponseStats`
@@ -44,4 +44,4 @@ pub use logger::Level;
 pub use histogram::Histogram;
 pub use metrics::{Registry, Timeseries};
 pub use profile::{Span, SpanSet};
-pub use record::{AtomicFile, NdjsonRecorder, NullRecorder, Recorder, RingRecorder, Sink};
+pub use record::{AtomicFile, NdjsonRecorder, Recorder, Sink};

@@ -13,7 +13,6 @@
 //! trace byte-identical at any shard count.
 
 use crate::event::{Event, TimedEvent};
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -116,62 +115,6 @@ pub trait Recorder {
 
     /// Flushes any buffered output (no-op by default).
     fn flush(&mut self) {}
-}
-
-/// The do-nothing recorder: the default everywhere instrumentation is
-/// threaded but nobody asked for a trace.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record(&mut self, _event: &TimedEvent) {}
-}
-
-/// Keeps the most recent `capacity` events — the flight-recorder shape
-/// for always-on tracing with bounded memory.
-#[derive(Debug)]
-pub struct RingRecorder {
-    capacity: usize,
-    events: VecDeque<TimedEvent>,
-}
-
-impl RingRecorder {
-    /// A ring holding at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring recorder needs room for at least one event");
-        Self {
-            capacity,
-            events: VecDeque::with_capacity(capacity),
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TimedEvent> {
-        self.events.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-impl Recorder for RingRecorder {
-    fn record(&mut self, event: &TimedEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(event.clone());
-    }
 }
 
 /// Streams events as newline-delimited JSON, one compact object per
@@ -478,21 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_recorder_keeps_only_the_tail() {
-        let mut ring = RingRecorder::new(3);
-        let mut sink = Sink::buffer();
-        for i in 0..10 {
-            sink.emit(Seconds::new(i as f64), || issue(i));
-        }
-        for e in sink.drain() {
-            ring.record(&e);
-        }
-        assert_eq!(ring.len(), 3);
-        let ts: Vec<f64> = ring.events().map(|e| e.t).collect();
-        assert_eq!(ts, [7.0, 8.0, 9.0]);
-    }
-
-    #[test]
     fn ndjson_recorder_writes_one_line_per_event() {
         let mut rec = NdjsonRecorder::new(Vec::new());
         for i in 0..3 {
@@ -511,7 +439,7 @@ mod tests {
 
     #[test]
     fn recorder_sink_streams() {
-        let mut sink = Sink::recorder(RingRecorder::new(8));
+        let mut sink = Sink::recorder(NdjsonRecorder::new(Vec::new()));
         sink.emit(Seconds::new(0.5), || issue(1));
         assert!(sink.is_enabled());
         // Streamed events are not drainable — they belong to the recorder.

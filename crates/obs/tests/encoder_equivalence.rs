@@ -83,8 +83,6 @@ fn every_variant(
             from: a,
             to: b,
         },
-        Event::ThrottleEngage { drive, sensed_c: a },
-        Event::ThrottleDisengage { drive, sensed_c: b },
         Event::CoordinatorAction {
             drive,
             action: kind,
@@ -142,7 +140,7 @@ proptest! {
         text in (label(), message()),
     ) {
         let events = every_variant(floats, ints, small, text);
-        prop_assert_eq!(events.len(), 14);
+        prop_assert_eq!(events.len(), 12);
         let mut recorder = NdjsonRecorder::new(Vec::new());
         let mut expected = String::new();
         for e in &events {

@@ -82,4 +82,4 @@ mod source;
 
 pub use driver::{advance_epoch, run_scenario, EpochSample};
 pub use scenario::{CoolingScope, Injection, Scenario, ScenarioEngine};
-pub use source::{ArrivalSource, ArrivalSourceState, ReplaySource};
+pub use source::{ArrivalSource, ArrivalSourceState, ReplayError, ReplaySource};

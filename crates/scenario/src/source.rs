@@ -4,14 +4,49 @@
 
 use disksim::Request;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use units::Seconds;
 use workloads::{TraceStream, TraceStreamState};
+
+/// Why a recorded trace cannot be replayed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReplayError {
+    /// The trace holds no requests: there is no period to loop over.
+    Empty,
+    /// A request's arrival is NaN or infinite, so the trace has no
+    /// arrival order.
+    NonFiniteArrival {
+        /// Id of the first such request in trace order.
+        id: u64,
+    },
+}
+
+impl fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Empty => f.write_str("cannot replay an empty trace"),
+            Self::NonFiniteArrival { id } => {
+                write!(f, "cannot replay request {id}: its arrival time is not finite")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
+
+/// Callers that report errors as text keep using `?` on
+/// [`ArrivalSource::replay`].
+impl From<ReplayError> for String {
+    fn from(e: ReplayError) -> Self {
+        e.to_string()
+    }
+}
 
 /// An endless replay of a recorded trace (MSR-Cambridge, DiskSim ASCII,
 /// or JSON lines — anything `workloads::read_trace` produces).
 ///
-/// The trace is sorted on construction (arrival, then id — the same
-/// order `Fleet::run` imposes) and replays lap after lap: when the
+/// The trace is sorted on construction (arrival by `total_cmp`, then
+/// id — the order `Fleet::run` imposes) and replays lap after lap: when the
 /// recording runs out, it starts over with arrivals shifted by one
 /// recording period and ids shifted by one recording length, so the
 /// stream never ends and never repeats an id. [`Self::scale_traffic`]
@@ -37,16 +72,20 @@ impl ReplaySource {
     ///
     /// # Errors
     ///
-    /// Rejects an empty trace — there is no period to loop over.
-    pub fn new(mut trace: Vec<Request>) -> Result<Self, String> {
+    /// [`ReplayError::Empty`] for an empty trace — there is no period
+    /// to loop over — and [`ReplayError::NonFiniteArrival`] naming the
+    /// first request whose arrival is NaN or infinite.
+    pub fn new(mut trace: Vec<Request>) -> Result<Self, ReplayError> {
         if trace.is_empty() {
-            return Err("cannot replay an empty trace".into());
+            return Err(ReplayError::Empty);
+        }
+        if let Some(r) = trace.iter().find(|r| !r.arrival.get().is_finite()) {
+            return Err(ReplayError::NonFiniteArrival { id: r.id });
         }
         trace.sort_by(|a, b| {
             a.arrival
                 .get()
-                .partial_cmp(&b.arrival.get())
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .total_cmp(&b.arrival.get())
                 .then(a.id.cmp(&b.id))
         });
         let last = trace.last().expect("non-empty").arrival.get();
@@ -138,8 +177,9 @@ impl ArrivalSource {
     ///
     /// # Errors
     ///
-    /// Rejects an empty trace.
-    pub fn replay(trace: Vec<Request>) -> Result<Self, String> {
+    /// As [`ReplaySource::new`]: an empty trace or a non-finite
+    /// arrival.
+    pub fn replay(trace: Vec<Request>) -> Result<Self, ReplayError> {
         Ok(Self::Replay(ReplaySource::new(trace)?))
     }
 
@@ -263,6 +303,21 @@ mod tests {
 
     #[test]
     fn empty_traces_are_rejected() {
-        assert!(ArrivalSource::replay(Vec::new()).is_err());
+        assert!(matches!(ArrivalSource::replay(Vec::new()), Err(ReplayError::Empty)));
+    }
+
+    #[test]
+    fn non_finite_arrivals_are_rejected_without_panicking() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut trace = record(64);
+            for r in trace.iter_mut().skip(5).step_by(7) {
+                r.arrival = Seconds::new(bad);
+            }
+            assert_eq!(
+                ArrivalSource::replay(trace).err(),
+                Some(ReplayError::NonFiniteArrival { id: 5 }),
+                "arrival {bad}"
+            );
+        }
     }
 }

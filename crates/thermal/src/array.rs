@@ -3,17 +3,12 @@
 //! §2 points at temperature-aware disk-array design (Huang and Chung):
 //! drives in an array do not each see pristine ambient air — the cooling
 //! stream preheats as it passes over upstream bays, so downstream drives
-//! run hotter, and the array's admissible spindle speed is set by its
-//! *hottest* bay. This module chains single-drive thermal models along a
-//! serial airflow path to capture that gradient.
+//! run hotter. The coupling graph itself is `diskfleet::AirflowGraph`;
+//! this module supplies the heat each drive rejects into the stream.
 
-use crate::envelope::EnvelopeSearch;
-use crate::model::{NodeTemps, ThermalModel};
-use crate::params::ThermalParams;
 use crate::sources::{vcm_power_for_platter, viscous_dissipation};
 use crate::spec::{DriveThermalSpec, OperatingPoint};
-use serde::{Deserialize, Serialize};
-use units::{Celsius, Power, Rpm, TempDelta};
+use units::Power;
 
 /// Physical heat a drive rejects into the cooling stream, in watts.
 ///
@@ -28,204 +23,4 @@ pub fn drive_heat_estimate(spec: &DriveThermalSpec, op: OperatingPoint) -> Power
     let bearing = 0.5 * (op.rpm().get() / 10_000.0);
     let electronics = 4.0;
     Power::new(visc.get() * 1.25 + vcm.get() + bearing + electronics)
-}
-
-/// A row of identical drives cooled by one serial airflow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AirflowPath {
-    drive: DriveThermalSpec,
-    params: ThermalParams,
-    bays: u32,
-    /// Thermal capacity rate of the cooling stream, `ṁ·c_p` in W/K: the
-    /// stream heats by `1/stream_w_per_k` kelvin for every watt the
-    /// upstream bays reject into it.
-    stream_w_per_k: f64,
-}
-
-/// Steady-state view of one bay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BayState {
-    /// Bay index along the airflow (0 = first to receive cool air).
-    pub bay: u32,
-    /// The preheated ambient this bay's drive actually sees.
-    pub local_ambient: Celsius,
-    /// The drive's steady node temperatures under that ambient.
-    pub temps: NodeTemps,
-}
-
-impl AirflowPath {
-    /// Builds a path of `bays` identical drives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bays == 0` or the stream capacity rate is not
-    /// positive.
-    pub fn new(drive: DriveThermalSpec, bays: u32, stream_w_per_k: f64) -> Self {
-        assert!(bays > 0, "an array has at least one bay");
-        assert!(
-            stream_w_per_k > 0.0 && stream_w_per_k.is_finite(),
-            "stream capacity rate must be positive"
-        );
-        Self {
-            drive,
-            params: ThermalParams::default(),
-            bays,
-            stream_w_per_k,
-        }
-    }
-
-    /// Overrides the thermal coefficients.
-    pub fn with_params(mut self, params: ThermalParams) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// Number of bays.
-    pub fn bays(&self) -> u32 {
-        self.bays
-    }
-
-    /// Steady state of every bay when all drives run at the same
-    /// operating point. The stream preheats by `ΣP_upstream / (ṁ·c_p)`
-    /// before reaching each bay; drive heat output is independent of
-    /// temperature (the network is linear), so a single pass suffices.
-    pub fn bay_states(&self, op: OperatingPoint) -> Vec<BayState> {
-        let per_drive_power = drive_heat_estimate(&self.drive, op);
-        let inlet = self.drive.ambient();
-        (0..self.bays)
-            .map(|bay| {
-                let preheat =
-                    TempDelta::new(per_drive_power.get() * bay as f64 / self.stream_w_per_k);
-                let local_ambient = inlet + preheat;
-                let model = ThermalModel::with_params(
-                    self.drive.with_ambient(local_ambient),
-                    self.params,
-                );
-                BayState {
-                    bay,
-                    local_ambient,
-                    temps: model.steady_state(op),
-                }
-            })
-            .collect()
-    }
-
-    /// The hottest bay's internal-air temperature (always the last bay
-    /// on a serial path).
-    pub fn hottest_air(&self, op: OperatingPoint) -> Celsius {
-        self.bay_states(op)
-            .last()
-            .expect("at least one bay")
-            .temps
-            .air
-    }
-
-    /// Highest spindle speed at which *every* bay respects `envelope`
-    /// with the actuators continuously busy, or `None` when even the
-    /// search floor violates it.
-    pub fn max_rpm_within_envelope(&self, envelope: Celsius) -> Option<Rpm> {
-        let search = EnvelopeSearch::default();
-        let too_hot = |rpm: Rpm| self.hottest_air(OperatingPoint::seeking(rpm)) > envelope;
-        if too_hot(search.min_rpm) {
-            return None;
-        }
-        if !too_hot(search.max_rpm) {
-            return Some(search.max_rpm);
-        }
-        let (mut lo, mut hi) = (search.min_rpm.get(), search.max_rpm.get());
-        while hi - lo > 0.5 {
-            let mid = 0.5 * (lo + hi);
-            if too_hot(Rpm::new(mid)) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        Some(Rpm::new(lo))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::envelope::THERMAL_ENVELOPE;
-    use units::Inches;
-
-    fn path(bays: u32, stream: f64) -> AirflowPath {
-        AirflowPath::new(DriveThermalSpec::new(Inches::new(2.6), 1), bays, stream)
-    }
-
-    #[test]
-    fn downstream_bays_run_hotter() {
-        let p = path(8, 10.0);
-        let states = p.bay_states(OperatingPoint::seeking(Rpm::new(15_000.0)));
-        assert_eq!(states.len(), 8);
-        for w in states.windows(2) {
-            assert!(w[1].local_ambient > w[0].local_ambient);
-            assert!(w[1].temps.air > w[0].temps.air);
-        }
-        // Bay 0 sees pristine ambient: identical to a lone drive.
-        let lone = ThermalModel::new(DriveThermalSpec::new(Inches::new(2.6), 1))
-            .steady_state(OperatingPoint::seeking(Rpm::new(15_000.0)));
-        assert!((states[0].temps.air - lone.air).abs().get() < 1e-9);
-    }
-
-    #[test]
-    fn preheat_is_linear_in_upstream_power() {
-        let p = path(4, 20.0);
-        let op = OperatingPoint::seeking(Rpm::new(15_000.0));
-        let per_drive =
-            drive_heat_estimate(&DriveThermalSpec::new(Inches::new(2.6), 1), op).get();
-        let states = p.bay_states(op);
-        let step = (states[1].local_ambient - states[0].local_ambient).get();
-        assert!((step - per_drive / 20.0).abs() < 1e-9);
-        let total = (states[3].local_ambient - states[0].local_ambient).get();
-        assert!((total - 3.0 * step).abs() < 1e-9);
-    }
-
-    #[test]
-    fn array_envelope_rpm_below_single_drive() {
-        let single = crate::envelope::max_rpm_within_envelope(
-            &ThermalModel::new(DriveThermalSpec::new(Inches::new(2.6), 1)),
-            1.0,
-            THERMAL_ENVELOPE,
-            EnvelopeSearch::default(),
-        )
-        .unwrap();
-        let array = path(8, 20.0)
-            .max_rpm_within_envelope(THERMAL_ENVELOPE)
-            .unwrap();
-        assert!(
-            array.get() < single.get(),
-            "preheated bays must cap the array: {array} vs {single}"
-        );
-        // A torrent of cooling air recovers (almost) the single-drive
-        // speed.
-        let flooded = path(8, 10_000.0)
-            .max_rpm_within_envelope(THERMAL_ENVELOPE)
-            .unwrap();
-        assert!((flooded.get() - single.get()).abs() < 150.0);
-    }
-
-    #[test]
-    fn single_bay_degenerates_to_lone_drive() {
-        let p = path(1, 5.0);
-        let op = OperatingPoint::seeking(Rpm::new(20_000.0));
-        let lone = ThermalModel::new(DriveThermalSpec::new(Inches::new(2.6), 1))
-            .steady_air_temp(op);
-        assert!((p.hottest_air(op) - lone).abs().get() < 1e-9);
-    }
-
-    #[test]
-    fn starved_airflow_is_infeasible() {
-        // With almost no airflow the eighth bay bakes at any speed.
-        let p = path(8, 0.05);
-        assert!(p.max_rpm_within_envelope(THERMAL_ENVELOPE).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bay")]
-    fn zero_bays_rejected() {
-        let _ = path(0, 10.0);
-    }
 }

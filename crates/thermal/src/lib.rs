@@ -56,12 +56,12 @@ mod sources;
 mod spec;
 mod transient;
 
-pub use array::{drive_heat_estimate, AirflowPath, BayState};
+pub use array::drive_heat_estimate;
 pub use envelope::{ambient_for_envelope, max_rpm_within_envelope, EnvelopeSearch, THERMAL_ENVELOPE};
 pub use error::ThermalError;
 pub use model::{Conductances, NodeTemps, PowerBreakdown, ThermalModel};
 pub use params::ThermalParams;
-pub use sensor::TempSensor;
+pub use sensor::{HeldReading, TempSensor};
 pub use sources::{vcm_power_for_platter, viscous_dissipation, VCM_POWER_ANCHORS};
 pub use spec::{DriveThermalSpec, FormFactor, OperatingPoint};
 pub use transient::{Integrator, TransientSim};

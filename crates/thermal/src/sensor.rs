@@ -6,7 +6,10 @@
 //! sees a SMART-style reading, quantized to whole degrees and refreshed
 //! at a polling interval. This module wraps the model temperature in
 //! that observation channel so control policies can be evaluated
-//! against realistic sensing.
+//! against realistic sensing. A [`TempSensor`] is the channel's
+//! characteristics only; the reading it holds between polls lives with
+//! each observed drive (a [`HeldReading`]), so one sensor model serves a
+//! whole fleet.
 
 use serde::{Deserialize, Serialize};
 use units::{Celsius, Seconds, TempDelta};
@@ -19,16 +22,17 @@ use units::{Celsius, Seconds, TempDelta};
 /// use diskthermal::TempSensor;
 /// use units::{Celsius, Seconds};
 ///
-/// let mut sensor = TempSensor::smart_style();
-/// let r = sensor.read(Seconds::ZERO, Celsius::new(45.87));
+/// let sensor = TempSensor::smart_style();
+/// let mut held = None;
+/// let r = sensor.read(&mut held, Seconds::ZERO, Celsius::new(45.87));
 /// assert_eq!(r.get(), 45.0); // whole-degree quantization
 ///
 /// // Within the polling interval the reading is held.
-/// let r = sensor.read(Seconds::new(0.4), Celsius::new(46.9));
+/// let r = sensor.read(&mut held, Seconds::new(0.4), Celsius::new(46.9));
 /// assert_eq!(r.get(), 45.0);
 ///
 /// // After the interval it refreshes.
-/// let r = sensor.read(Seconds::new(1.2), Celsius::new(46.9));
+/// let r = sensor.read(&mut held, Seconds::new(1.2), Celsius::new(46.9));
 /// assert_eq!(r.get(), 46.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -39,8 +43,11 @@ pub struct TempSensor {
     sample_interval: Seconds,
     /// Fixed calibration bias added to every reading.
     bias: TempDelta,
-    last_sample: Option<(Seconds, Celsius)>,
 }
+
+/// What a sensor last reported and when (`None` before the first
+/// poll): the state a [`TempSensor`] holds between polls.
+pub type HeldReading = Option<(Seconds, Celsius)>;
 
 impl TempSensor {
     /// A SMART-style sensor: 1 °C quantization, 1 s polling, no bias.
@@ -66,17 +73,25 @@ impl TempSensor {
             quantization,
             sample_interval,
             bias,
-            last_sample: None,
         }
     }
 
+    /// Whether every reading is the true temperature itself (no
+    /// quantization, polling interval or bias).
+    #[inline]
+    pub fn is_ideal(&self) -> bool {
+        self.quantization == 0.0 && self.sample_interval.get() == 0.0 && self.bias.get() == 0.0
+    }
+
     /// Observes the true temperature at time `now`, returning what the
-    /// controller would see: the previous reading until the polling
-    /// interval elapses, then the biased, quantized current value.
-    pub fn read(&mut self, now: Seconds, actual: Celsius) -> Celsius {
-        if let Some((at, held)) = self.last_sample {
+    /// controller would see: the `held` reading until the polling
+    /// interval elapses, then the biased, quantized current value,
+    /// which becomes the new held reading.
+    #[inline]
+    pub fn read(&self, held: &mut HeldReading, now: Seconds, actual: Celsius) -> Celsius {
+        if let Some((at, reading)) = *held {
             if (now - at).get() < self.sample_interval.get() {
-                return held;
+                return reading;
             }
         }
         let biased = actual + self.bias;
@@ -85,7 +100,7 @@ impl TempSensor {
         } else {
             biased
         };
-        self.last_sample = Some((now, reading));
+        *held = Some((now, reading));
         reading
     }
 
@@ -104,35 +119,39 @@ mod tests {
 
     #[test]
     fn ideal_sensor_is_transparent() {
-        let mut s = TempSensor::ideal();
+        let s = TempSensor::ideal();
+        assert!(s.is_ideal() && !TempSensor::smart_style().is_ideal());
+        let mut held = None;
         for (t, v) in [(0.0, 45.217), (0.1, 46.9), (0.2, 44.0)] {
-            let r = s.read(Seconds::new(t), Celsius::new(v));
+            let r = s.read(&mut held, Seconds::new(t), Celsius::new(v));
             assert_eq!(r.get(), v);
         }
     }
 
     #[test]
     fn quantization_floors() {
-        let mut s = TempSensor::new(1.0, Seconds::ZERO, TempDelta::ZERO);
-        assert_eq!(s.read(Seconds::ZERO, Celsius::new(45.99)).get(), 45.0);
-        assert_eq!(s.read(Seconds::new(1.0), Celsius::new(46.0)).get(), 46.0);
+        let s = TempSensor::new(1.0, Seconds::ZERO, TempDelta::ZERO);
+        let mut held = None;
+        assert_eq!(s.read(&mut held, Seconds::ZERO, Celsius::new(45.99)).get(), 45.0);
+        assert_eq!(s.read(&mut held, Seconds::new(1.0), Celsius::new(46.0)).get(), 46.0);
     }
 
     #[test]
     fn readings_are_held_between_polls() {
-        let mut s = TempSensor::smart_style();
-        let first = s.read(Seconds::ZERO, Celsius::new(40.0));
+        let s = TempSensor::smart_style();
+        let mut held = None;
+        let first = s.read(&mut held, Seconds::ZERO, Celsius::new(40.0));
         // The temperature spikes but the sensor has not refreshed.
-        let held = s.read(Seconds::new(0.9), Celsius::new(50.0));
-        assert_eq!(first, held);
-        let fresh = s.read(Seconds::new(1.0), Celsius::new(50.0));
+        let stale = s.read(&mut held, Seconds::new(0.9), Celsius::new(50.0));
+        assert_eq!(first, stale);
+        let fresh = s.read(&mut held, Seconds::new(1.0), Celsius::new(50.0));
         assert_eq!(fresh.get(), 50.0);
     }
 
     #[test]
     fn bias_shifts_readings() {
-        let mut cold = TempSensor::new(0.0, Seconds::ZERO, TempDelta::new(-2.0));
-        assert_eq!(cold.read(Seconds::ZERO, Celsius::new(45.0)).get(), 43.0);
+        let cold = TempSensor::new(0.0, Seconds::ZERO, TempDelta::new(-2.0));
+        assert_eq!(cold.read(&mut None, Seconds::ZERO, Celsius::new(45.0)).get(), 43.0);
         assert!((cold.max_under_report().get() - 2.0).abs() < 1e-12);
 
         let s = TempSensor::smart_style();

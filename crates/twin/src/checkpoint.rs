@@ -46,7 +46,12 @@ pub const CHECKPOINT_MAGIC: &str = "DISKTWIN";
 ///   counts) in place of a 65,536-sample reservoir with ten Figure 4
 ///   counters. Version-3 bodies carry the reservoir, so they fail fast
 ///   with [`CheckpointError::VersionMismatch`].
-pub const STATE_VERSION: u32 = 4;
+/// - 5: the fleet became the one closed DTM loop. The fleet state
+///   carries its sensor model, each enclosure its held sensor reading,
+///   boosted time and energy, the coordinator each drive's slack-ramp
+///   state, and a throttle policy its mechanism. Version-4 bodies lack
+///   them, so they fail fast with [`CheckpointError::VersionMismatch`].
+pub const STATE_VERSION: u32 = 5;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]

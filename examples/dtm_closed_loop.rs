@@ -8,9 +8,14 @@
 //! - VCM+RPM throttling (the Figure 6(b) mechanism),
 //! - slack ramping on an envelope-design at a two-speed disk (§5.2).
 //!
+//! One drive under closed-loop control is a one-bay `diskfleet` fleet
+//! with one control window per sync epoch.
+//!
 //! Run with: `cargo run --release --example dtm_closed_loop`
 
+use diskfleet::{Fleet, FleetConfig, FleetDtmPolicy};
 use thermodisk::prelude::*;
+use thermodisk::thermal::NodeTemps;
 use units::{Seconds, TempDelta};
 
 fn trace(capacity: u64, n: u64, rate: f64) -> Vec<Request> {
@@ -28,33 +33,38 @@ fn trace(capacity: u64, n: u64, rate: f64) -> Vec<Request> {
         .collect()
 }
 
-fn run(label: &str, rpm: f64, policy: DtmPolicy, start_hot: bool) {
+/// Runs the trace on one drive as a one-bay fleet whose coordinator
+/// decides after every 250 ms control window.
+fn run(label: &str, rpm: f64, policy: FleetDtmPolicy, start_hot: bool) {
     let spec = DiskSpec::era(2002, 1, Rpm::new(rpm));
-    let system = StorageSystem::new(SystemConfig::single_disk(spec)).expect("valid system");
-    let capacity = system.logical_sectors();
-    let model = ThermalModel::new(DriveThermalSpec::new(Inches::new(2.6), 1));
-
-    let mut controller = DtmController::new(system, model.clone(), policy, THERMAL_ENVELOPE);
-    if start_hot {
+    let capacity = StorageSystem::new(SystemConfig::single_disk(spec.clone()))
+        .expect("valid system")
+        .logical_sectors();
+    let thermal = DriveThermalSpec::new(Inches::new(2.6), 1);
+    let mut config = FleetConfig::serial(1, spec, thermal, 10.0).expect("one bay");
+    config.dtm = policy;
+    config.windows_per_epoch = 1;
+    config.start = Some(NodeTemps::uniform(if start_hot {
         // The drive has been busy and sits just below the envelope, so
         // the run shows the throttle cycling rather than a cold soak.
-        let hot = thermodisk::thermal::NodeTemps::uniform(
-            THERMAL_ENVELOPE - TempDelta::new(0.4),
-        );
-        controller = controller.with_initial_temps(hot);
-    }
+        THERMAL_ENVELOPE - TempDelta::new(0.4)
+    } else {
+        thermal.ambient()
+    }));
 
-    let report = controller
+    let report = Fleet::new(config)
+        .expect("valid fleet")
         .run(trace(capacity, 6_000, 130.0))
         .expect("trace is valid");
+    let bay = &report.per_enclosure[0];
     println!(
         "{label:<34} mean {:>7.2} ms  p95 {:>7.2} ms  peak {:>6.2} C  over-envelope {:>5.1} s  throttled {:>5.1} s  boosted {:>5.1} s",
         report.stats.mean().to_millis(),
         report.stats.percentile(95.0).to_millis(),
-        report.max_air.get(),
-        report.time_over_envelope.get(),
-        report.time_throttled.get(),
-        report.time_boosted.get(),
+        bay.max_air.get(),
+        bay.time_over_envelope.get(),
+        (bay.time_gated + bay.time_scaled).get(),
+        bay.time_boosted.get(),
     );
 }
 
@@ -69,13 +79,13 @@ fn main() {
     run(
         "24,534 RPM, no control",
         24_534.0,
-        DtmPolicy::None,
+        FleetDtmPolicy::None,
         true,
     );
     run(
         "24,534 RPM, VCM+RPM throttle",
         24_534.0,
-        DtmPolicy::Throttle {
+        FleetDtmPolicy::Throttle {
             mechanism: ThrottlePolicy::VcmAndRpm {
                 high: Rpm::new(24_534.0),
                 low: Rpm::new(15_020.0),
@@ -90,13 +100,13 @@ fn main() {
     run(
         "15,020 RPM, static (envelope)",
         15_020.0,
-        DtmPolicy::None,
+        FleetDtmPolicy::None,
         false,
     );
     run(
         "15,020 RPM base + slack ramp",
         15_020.0,
-        DtmPolicy::SlackRamp {
+        FleetDtmPolicy::SlackRamp {
             base: Rpm::new(15_020.0),
             high: Rpm::new(26_000.0),
             slack_margin: TempDelta::new(0.5),

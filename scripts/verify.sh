@@ -33,6 +33,13 @@ echo "==> cargo test -q -p disklab --test lab_determinism"
 # repeat runs served entirely from cache.
 cargo test -q -p disklab --test lab_determinism
 
+echo "==> cargo run --release --example <each of the five examples>"
+# Tier-1 only compiles the examples; run each one (together well under
+# a second) so one that panics or exits non-zero fails here.
+for example in quickstart roadmap_explorer dtm_closed_loop drive_designer workload_replay; do
+    cargo run --release -q --example "$example" > /dev/null
+done
+
 echo "==> cargo run --release --bin lab -- table1"
 cargo run --release --bin lab -- table1
 
@@ -53,7 +60,7 @@ git diff --exit-code -- results/figure4.json results/figure4.txt
 echo "==> cargo run --release --bin lab -- run twin_whatif --no-cache"
 # The what-if fork outcomes carry p95/p99 and Figure 4 CDFs read off
 # the fleet's merged response-time histograms, and every fork restores
-# a version-4 checkpoint state, so this recompute (~0.3 s) also drives
+# a version-5 checkpoint state, so this recompute (~0.3 s) also drives
 # the checkpoint path end to end.
 cargo run --release --bin lab -- run twin_whatif --no-cache
 git diff --exit-code -- results/twin_whatif.json results/twin_whatif.txt

@@ -251,14 +251,6 @@ fn steady_state_windows_allocate_nothing() {
             from: 15_020.0,
             to: 12_000.0,
         },
-        Event::ThrottleEngage {
-            drive: 2,
-            sensed_c: 45.220_000_1,
-        },
-        Event::ThrottleDisengage {
-            drive: 2,
-            sensed_c: f64::NAN,
-        },
         Event::CoordinatorAction {
             drive: 9,
             action: "downshift",
@@ -269,7 +261,7 @@ fn steady_state_windows_allocate_nothing() {
         },
         Event::SensorReading {
             drive: 0,
-            sensed_c: 44.0,
+            sensed_c: f64::NAN,
             actual_c: 44.712_345_678_9,
         },
         Event::Snapshot {
