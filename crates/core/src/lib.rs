@@ -60,8 +60,9 @@ pub use workloads;
 /// The most commonly used types, importable in one line.
 ///
 /// The closed DTM loop is `diskfleet::Fleet` (one drive is a one-bay
-/// fleet); [`ThrottlePolicy`](dtm::ThrottlePolicy) is the mechanism its
-/// `FleetDtmPolicy::Throttle` takes and the throttling-ratio analysis
+/// fleet, and its `FleetDtmPolicy::Throttle` names its spindle speeds
+/// itself); [`ThrottlePolicy`](dtm::ThrottlePolicy) is the throttling
+/// mechanism the open-loop Figure 6/7 throttling-ratio analysis
 /// studies.
 pub mod prelude {
     pub use crate::drives::{self, DriveRecord};

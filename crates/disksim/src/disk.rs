@@ -258,11 +258,11 @@ impl Disk {
         Ok(self.service_located(loc, lba, sectors, kind, start))
     }
 
-    /// Serves a request whose start [`Location`] is already resolved and
-    /// whose range is already checked — the queueing layer resolves every
-    /// physical request once at enqueue (it needs the cylinder for
-    /// scheduling anyway), so the hot path never re-runs the zone-table
-    /// lookup. Identical results to [`Self::service`].
+    /// Serves a request whose start [`Location`](diskgeom::Location) is
+    /// already resolved and whose range is already checked — the queueing
+    /// layer resolves every physical request once at enqueue (it needs
+    /// the cylinder for scheduling anyway), so the hot path never re-runs
+    /// the zone-table lookup. Identical results to [`Self::service`].
     pub fn service_located(
         &mut self,
         loc: diskgeom::Location,

@@ -796,8 +796,9 @@ impl StorageSystem {
     ///
     /// [`SimError::BadConfig`] when the state's internal references are
     /// inconsistent (index out of range, broken queue links, mismatched
-    /// per-disk vector lengths) — the shapes a corrupted checkpoint
-    /// body produces.
+    /// per-disk vector lengths, more requests finished than submitted)
+    /// or a disk's speed is negative or not finite — the shapes a
+    /// corrupted checkpoint body produces.
     pub fn restore_state(state: SystemState) -> Result<Self, SimError> {
         let n = state.disks.len();
         if n == 0 {
@@ -810,6 +811,19 @@ impl StorageSystem {
                 state.disk_queues.len(),
                 state.in_service.len()
             )));
+        }
+        if state.disks.iter().any(|d| {
+            let rpm = d.spec().rpm();
+            !(rpm.get() >= 0.0 && rpm.is_finite())
+        }) {
+            return Err(SimError::BadConfig(
+                "disk speed must be non-negative and finite".into(),
+            ));
+        }
+        if state.finished > state.submitted {
+            return Err(SimError::BadConfig(
+                "more requests finished than submitted".into(),
+            ));
         }
         let slots = state.slots.len() as u32;
         if state.slot_free.iter().any(|&i| i >= slots) {

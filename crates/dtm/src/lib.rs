@@ -12,10 +12,11 @@
 //!   (optionally also dropping to a lower spindle speed) whenever the
 //!   temperature nears the limit — Figures 6 and 7's throttling-ratio
 //!   analysis.
-//! - The **trip/resume rule** ([`trip`]) and the **windowed drive**
-//!   ([`WindowedDrive`]) every closed DTM loop runs on. The loop itself
-//!   — the control-policy evaluation the paper leaves as future work —
-//!   is the fleet in `diskfleet`; one drive is a one-bay fleet.
+//!
+//! Both are open-loop analyses of the thermal model. The closed loop —
+//! the control-policy evaluation the paper leaves as future work — is
+//! the fleet in `diskfleet`, whose bays serve requests in control
+//! windows under a DTM coordinator; one drive is a one-bay fleet.
 //!
 //! # Examples
 //!
@@ -32,12 +33,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod controller;
-mod driver;
 mod slack;
 mod throttle;
 
-pub use controller::trip;
-pub use driver::{DriveState, WindowSample, WindowedDrive};
 pub use slack::{slack_roadmap, slack_table, SlackConfig, SlackRoadmapPoint, SlackRow};
 pub use throttle::{throttling_curve, throttling_ratio, ThrottleExperiment, ThrottlePolicy};

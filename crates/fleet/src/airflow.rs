@@ -76,28 +76,12 @@ impl AirflowGraph {
     /// non-upstream (index ≥ self) sources, and non-finite or negative
     /// coefficients.
     pub fn new(inlet: Celsius, upstream: Vec<Vec<(usize, f64)>>) -> Result<Self, FleetError> {
-        if upstream.is_empty() {
-            return Err(FleetError::Config("airflow graph has no drives".into()));
-        }
-        for (i, sources) in upstream.iter().enumerate() {
-            for &(j, k) in sources {
-                if j >= i {
-                    return Err(FleetError::Config(format!(
-                        "drive {i} coupled to non-upstream source {j}; \
-                         air flows forward, sources must precede sinks"
-                    )));
-                }
-                if !k.is_finite() || k < 0.0 {
-                    return Err(FleetError::Config(format!(
-                        "drive {i} has a bad coupling coefficient {k} K/W from source {j}"
-                    )));
-                }
-            }
-        }
-        Ok(Self {
+        let graph = Self {
             inlet,
             topology: Topology::Flat(upstream),
-        })
+        };
+        graph.validate()?;
+        Ok(graph)
     }
 
     /// A rack → row → hall hierarchy: racks of `per_rack` drives stand
@@ -120,22 +104,7 @@ impl AirflowGraph {
         k_rack: f64,
         k_row: f64,
     ) -> Result<Self, FleetError> {
-        if drives == 0 {
-            return Err(FleetError::Config("airflow graph has no drives".into()));
-        }
-        if per_rack == 0 || racks_per_row == 0 {
-            return Err(FleetError::Config(
-                "hall racks and rows need at least one member each".into(),
-            ));
-        }
-        for (name, k) in [("k_drive", k_drive), ("k_rack", k_rack), ("k_row", k_row)] {
-            if !k.is_finite() || k < 0.0 {
-                return Err(FleetError::Config(format!(
-                    "hall coupling {name} must be finite and non-negative, got {k}"
-                )));
-            }
-        }
-        Ok(Self {
+        let graph = Self {
             inlet,
             topology: Topology::Hierarchy {
                 drives,
@@ -147,7 +116,58 @@ impl AirflowGraph {
                     k_row,
                 },
             },
-        })
+        };
+        graph.validate()?;
+        Ok(graph)
+    }
+
+    /// Checks what [`Self::new`] and [`Self::hall`] check on a graph
+    /// that arrived some other way, such as a restored checkpoint.
+    pub(crate) fn validate(&self) -> Result<(), FleetError> {
+        match &self.topology {
+            Topology::Flat(upstream) => {
+                if upstream.is_empty() {
+                    return Err(FleetError::Config("airflow graph has no drives".into()));
+                }
+                for (i, sources) in upstream.iter().enumerate() {
+                    for &(j, k) in sources {
+                        if j >= i {
+                            return Err(FleetError::Config(format!(
+                                "drive {i} coupled to non-upstream source {j}; \
+                                 air flows forward, sources must precede sinks"
+                            )));
+                        }
+                        if !k.is_finite() || k < 0.0 {
+                            return Err(FleetError::Config(format!(
+                                "drive {i} has a bad coupling coefficient {k} K/W from source {j}"
+                            )));
+                        }
+                    }
+                }
+            }
+            Topology::Hierarchy { drives, shape } => {
+                if *drives == 0 {
+                    return Err(FleetError::Config("airflow graph has no drives".into()));
+                }
+                if shape.per_rack == 0 || shape.racks_per_row == 0 {
+                    return Err(FleetError::Config(
+                        "hall racks and rows need at least one member each".into(),
+                    ));
+                }
+                for (name, k) in [
+                    ("k_drive", shape.k_drive),
+                    ("k_rack", shape.k_rack),
+                    ("k_row", shape.k_row),
+                ] {
+                    if !k.is_finite() || k < 0.0 {
+                        return Err(FleetError::Config(format!(
+                            "hall coupling {name} must be finite and non-negative, got {k}"
+                        )));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// One serial airflow path: every drive is preheated by *all* drives
@@ -235,22 +255,28 @@ impl AirflowGraph {
     ///
     /// Panics if `heats_w.len()` does not match the graph.
     pub fn local_ambients(&self, heats_w: &[f64]) -> Vec<Celsius> {
+        let mut out = Vec::with_capacity(heats_w.len());
+        self.local_ambients_into(heats_w, &mut out);
+        out
+    }
+
+    /// [`Self::local_ambients`] into `out`, replacing its contents: the
+    /// fleet's flat-graph epoch reuses one buffer.
+    pub(crate) fn local_ambients_into(&self, heats_w: &[f64], out: &mut Vec<Celsius>) {
         assert_eq!(heats_w.len(), self.len(), "one heat term per drive");
+        out.clear();
         match &self.topology {
-            Topology::Flat(upstream) => upstream
-                .iter()
-                .map(|sources| {
-                    let preheat: f64 = sources.iter().map(|&(j, k)| heats_w[j] * k).sum();
-                    self.inlet + TempDelta::new(preheat)
-                })
-                .collect(),
+            Topology::Flat(upstream) => out.extend(upstream.iter().map(|sources| {
+                let preheat: f64 = sources.iter().map(|&(j, k)| heats_w[j] * k).sum();
+                self.inlet + TempDelta::new(preheat)
+            })),
             Topology::Hierarchy { shape, .. } => {
-                let bases = self.rack_preheats(shape, &rack_heats(shape, heats_w));
-                let mut out = Vec::with_capacity(heats_w.len());
+                let (mut racks, mut bases) = (Vec::new(), Vec::new());
+                rack_heats(shape, heats_w, &mut racks);
+                self.rack_preheats(shape, &racks, &mut bases);
                 for (rack, chunk) in heats_w.chunks(shape.per_rack).enumerate() {
-                    rack_ambients_into(self.inlet, bases[rack], shape.k_drive, chunk, &mut out);
+                    rack_ambients_into(self.inlet, bases[rack], shape.k_drive, chunk, out);
                 }
-                out
             }
         }
     }
@@ -266,11 +292,12 @@ impl AirflowGraph {
     }
 
     /// Per-rack preheat above the inlet (kelvin) from the *other*
-    /// levels: earlier rows at `k_row`, earlier racks in the same row
-    /// at `k_rack`. Intra-rack preheat is the caller's per-rack fold.
-    /// O(racks), serial — this is the only cross-rack coupling step.
-    pub(crate) fn rack_preheats(&self, shape: &HallShape, rack_heats: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(rack_heats.len());
+    /// levels, into `out` (replacing its contents): earlier rows at
+    /// `k_row`, earlier racks in the same row at `k_rack`. Intra-rack
+    /// preheat is the caller's per-rack fold. O(racks), serial — this
+    /// is the only cross-rack coupling step.
+    pub(crate) fn rack_preheats(&self, shape: &HallShape, rack_heats: &[f64], out: &mut Vec<f64>) {
+        out.clear();
         let mut row_prefix = 0.0;
         for row_racks in rack_heats.chunks(shape.racks_per_row) {
             let mut rack_prefix = 0.0;
@@ -280,18 +307,18 @@ impl AirflowGraph {
             }
             row_prefix += rack_prefix;
         }
-        out
     }
 }
 
-/// Total heat per rack, folded in bay order (the last rack may be
-/// short). Independent across racks, so the fleet folds them in
-/// parallel.
-pub(crate) fn rack_heats(shape: &HallShape, heats_w: &[f64]) -> Vec<f64> {
-    heats_w
-        .chunks(shape.per_rack)
-        .map(|rack| rack.iter().sum())
-        .collect()
+/// Total heat per rack into `out` (replacing its contents), folded in
+/// bay order (the last rack may be short).
+pub(crate) fn rack_heats(shape: &HallShape, heats_w: &[f64], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(
+        heats_w
+            .chunks(shape.per_rack)
+            .map(|rack| rack.iter().sum::<f64>()),
+    );
 }
 
 /// Appends one rack's drive ambients: `base_preheat` kelvin above the

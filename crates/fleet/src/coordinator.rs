@@ -12,9 +12,32 @@
 //! publishes gating through [`Coordinator::gated`], so the fleet decides
 //! where drives live in memory (important for the sharded event loop).
 
-use dtm::ThrottlePolicy;
+use crate::error::FleetError;
 use serde::{Deserialize, Serialize};
 use units::{Celsius, Rpm, TempDelta};
+
+/// The trip/resume rule of the §5.2 speed scaling and the §5.3
+/// throttle: the next tripped state of a drive whose sensed air is
+/// `sensed`. Trips at `envelope − guard`, releases once the reading
+/// falls `resume_margin` below that trip point, and holds otherwise —
+/// so a NaN reading holds either state.
+#[inline]
+fn trip(
+    tripped: bool,
+    sensed: Celsius,
+    envelope: Celsius,
+    guard: TempDelta,
+    resume_margin: TempDelta,
+) -> bool {
+    let trip = envelope - guard;
+    if !tripped && sensed >= trip {
+        true
+    } else if tripped && sensed <= trip - resume_margin {
+        false
+    } else {
+        tripped
+    }
+}
 
 /// The per-drive actuation the coordinator applies fleet-wide.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -37,12 +60,13 @@ pub enum FleetDtmPolicy {
     /// Admission gating (§5.3): a drive crossing `envelope − guard`
     /// stops admitting new requests (in-flight work completes) until it
     /// cools `resume_margin` below the trip point. The router steers
-    /// around gated drives. [`ThrottlePolicy::VcmOnly`] never touches
-    /// the spindle; under [`ThrottlePolicy::VcmAndRpm`] the spindle runs
-    /// at `high`, drops to `low` while gated and resumes at `high`.
+    /// around gated drives.
     Throttle {
-        /// What the drive does while gated.
-        mechanism: ThrottlePolicy,
+        /// `None` gates the actuator only and never touches the spindle
+        /// (Figure 6(a)). `Some((high, low))` also drops the spindle
+        /// (Figure 6(b)): it runs at `high`, falls to `low` while gated
+        /// and resumes at `high`.
+        speeds: Option<(Rpm, Rpm)>,
         /// Safety margin below the envelope at which to gate.
         guard: TempDelta,
         /// Hysteresis below the trip point before reopening.
@@ -64,6 +88,27 @@ pub enum FleetDtmPolicy {
 }
 
 impl FleetDtmPolicy {
+    /// Checks that every spindle speed the policy can set is
+    /// non-negative and finite.
+    pub(crate) fn check_speeds(&self) -> Result<(), FleetError> {
+        let speeds = match *self {
+            Self::SpeedScale { high, low, .. }
+            | Self::Throttle {
+                speeds: Some((high, low)),
+                ..
+            } => [high, low],
+            Self::SlackRamp { base, high, .. } => [base, high],
+            Self::None | Self::Throttle { speeds: None, .. } => return Ok(()),
+        };
+        match speeds.into_iter().find(|r| !(r.get() >= 0.0 && r.is_finite())) {
+            Some(r) => Err(FleetError::Config(format!(
+                "DTM spindle speeds must be non-negative and finite, got {} RPM",
+                r.get()
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// The speed every drive starts at, `None` when the policy keeps
     /// the drives' own speed.
     fn start_rpm(&self) -> Option<Rpm> {
@@ -71,7 +116,7 @@ impl FleetDtmPolicy {
             Self::SpeedScale { high, .. }
             | Self::SlackRamp { high, .. }
             | Self::Throttle {
-                mechanism: ThrottlePolicy::VcmAndRpm { high, .. },
+                speeds: Some((high, _)),
                 ..
             } => Some(high),
             Self::None | Self::Throttle { .. } => None,
@@ -113,6 +158,11 @@ impl CoordinatorState {
     /// Number of drives this state covers (a restore sanity check).
     pub fn drives(&self) -> usize {
         self.states.len()
+    }
+
+    /// The policy the coordinator applies.
+    pub fn policy(&self) -> FleetDtmPolicy {
+        self.policy
     }
 }
 
@@ -206,21 +256,21 @@ impl Coordinator {
                 resume_margin,
             } => {
                 next.scaled_down =
-                    dtm::trip(state.scaled_down, air, self.envelope, guard, resume_margin);
+                    trip(state.scaled_down, air, self.envelope, guard, resume_margin);
                 if next.scaled_down != state.scaled_down {
                     action = Some(if next.scaled_down { "downshift" } else { "upshift" });
                     rpm = Some(if next.scaled_down { low } else { high });
                 }
             }
             FleetDtmPolicy::Throttle {
-                mechanism,
+                speeds,
                 guard,
                 resume_margin,
             } => {
-                next.gated = dtm::trip(state.gated, air, self.envelope, guard, resume_margin);
+                next.gated = trip(state.gated, air, self.envelope, guard, resume_margin);
                 if next.gated != state.gated {
                     action = Some(if next.gated { "gate" } else { "ungate" });
-                    if let ThrottlePolicy::VcmAndRpm { high, low } = mechanism {
+                    if let Some((high, low)) = speeds {
                         rpm = Some(if next.gated { low } else { high });
                     }
                 }
@@ -324,6 +374,38 @@ mod tests {
     }
 
     #[test]
+    fn trip_rule_engages_holds_and_releases_at_its_edges() {
+        let envelope = Celsius::new(45.0);
+        let (guard, margin) = (TempDelta::new(0.5), TempDelta::new(1.0));
+        let engage = envelope - guard;
+        let release = engage - margin;
+        let c = Celsius::new;
+        // (tripped before, sensed, tripped after)
+        let table = [
+            (false, engage, true),
+            (false, c(engage.get() - 1e-9), false),
+            (false, c(44.0), false),
+            (false, release, false),
+            (true, c(50.0), true),
+            (true, engage, true),
+            (true, c(44.0), true),
+            (true, c(release.get() + 1e-9), true),
+            (true, release, false),
+            (true, c(40.0), false),
+            (false, c(f64::NAN), false),
+            (true, c(f64::NAN), true),
+        ];
+        for (before, sensed, after) in table {
+            assert_eq!(
+                trip(before, sensed, envelope, guard, margin),
+                after,
+                "tripped {before} at {}",
+                sensed.get()
+            );
+        }
+    }
+
+    #[test]
     fn speed_scale_downshifts_only_the_hot_drive_and_recovers() {
         let mut rpms = vec![Rpm::new(0.0); 3];
         let mut c = Coordinator::new(
@@ -360,7 +442,7 @@ mod tests {
     fn throttle_gates_and_reopens_with_hysteresis() {
         let mut c = Coordinator::new(
             FleetDtmPolicy::Throttle {
-                mechanism: ThrottlePolicy::VcmOnly { rpm: Rpm::new(15_000.0) },
+                speeds: None,
                 guard: TempDelta::new(0.2),
                 resume_margin: TempDelta::new(0.3),
             },
@@ -381,10 +463,7 @@ mod tests {
         let mut rpms = [Rpm::new(0.0); 1];
         let mut c = Coordinator::new(
             FleetDtmPolicy::Throttle {
-                mechanism: ThrottlePolicy::VcmAndRpm {
-                    high: Rpm::new(24_000.0),
-                    low: Rpm::new(15_000.0),
-                },
+                speeds: Some((Rpm::new(24_000.0), Rpm::new(15_000.0))),
                 guard: TempDelta::new(0.2),
                 resume_margin: TempDelta::new(0.3),
             },
@@ -500,7 +579,7 @@ mod tests {
 
     fn vcm_only(guard: f64, resume_margin: f64) -> FleetDtmPolicy {
         FleetDtmPolicy::Throttle {
-            mechanism: ThrottlePolicy::VcmOnly { rpm: Rpm::new(24_534.0) },
+            speeds: None,
             guard: TempDelta::new(guard),
             resume_margin: TempDelta::new(resume_margin),
         }
@@ -698,10 +777,7 @@ mod tests {
             // reopens, and reheats — the oscillation a thin margin
             // turns into flapping.
             let policy = FleetDtmPolicy::Throttle {
-                mechanism: ThrottlePolicy::VcmAndRpm {
-                    high: Rpm::new(24_534.0),
-                    low: Rpm::new(15_020.0),
-                },
+                speeds: Some((Rpm::new(24_534.0), Rpm::new(15_020.0))),
                 guard: TempDelta::new(1.3),
                 resume_margin: TempDelta::new(resume_margin),
             };

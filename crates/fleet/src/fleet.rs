@@ -1,9 +1,11 @@
-//! The fleet itself: N enclosures, an airflow graph, a router, and a
+//! The fleet itself: N bays, an airflow graph, a router, and a
 //! coordinator, advanced by a sharded deterministic event loop.
 //!
-//! Each enclosure wraps one [`dtm::WindowedDrive`] (a `StorageSystem`
-//! coupled to a `TransientSim`). Between *sync epochs* the enclosures
-//! are fully independent, so the loop advances them in parallel. The
+//! Each bay ([`crate::bay`]) couples a `StorageSystem` to a
+//! `TransientSim`; the fleet holds once what every bay shares — the
+//! disk spec new bays are built from and the drive's thermal spec.
+//! Between *sync epochs* the bays are fully independent, so the loop
+//! advances them in parallel. The
 //! epoch boundary itself is parallel too: shards *propose* against the
 //! epoch-start snapshot (statistics folds, heat estimates, per-rack
 //! airflow prefixes, coordinator transitions, pre-sorted per-enclosure
@@ -20,21 +22,22 @@
 //! shard count.
 
 use crate::airflow::{rack_heats, AirflowGraph};
+use crate::bay::{Bay, BayState, EpochCtx};
 use crate::coordinator::{Coordinator, CoordinatorState, CtlProposal, FleetDtmPolicy};
 use crate::error::FleetError;
 use crate::routing::{Router, RoutingPolicy, RoutingScratch};
-use disksim::{
-    Completion, DiskSpec, EnergyMeter, EnergyModel, EnergyReport, Request, ResponseStats,
-    StorageSystem, SystemConfig,
-};
-use dtm::{DriveState, WindowSample, WindowedDrive};
+use disksim::{DiskSpec, EnergyReport, Request, ResponseStats, StorageSystem, SystemConfig};
 use diskthermal::{
-    drive_heat_estimate, DriveThermalSpec, HeldReading, NodeTemps, OperatingPoint, TempSensor,
-    ThermalModel, ThermalParams, THERMAL_ENVELOPE,
+    drive_heat_estimate, DriveThermalSpec, NodeTemps, OperatingPoint, TempSensor, ThermalModel,
+    THERMAL_ENVELOPE,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use units::{Celsius, Rpm, Seconds};
+
+/// The longest a sync epoch may span, and the sim time past which
+/// [`Fleet::run`] stops a run that has not drained: 24 hours.
+const SIM_TIME_CAP: Seconds = Seconds::new(24.0 * 3600.0);
 
 /// RAID-5 geometry for every enclosure: instead of one bare drive, each
 /// bay holds an `disks`-member array presented as one logical volume.
@@ -182,226 +185,6 @@ impl FleetConfig {
     }
 }
 
-/// One drive bay: the windowed drive plus its admission queue,
-/// accumulated statistics, and the epoch scratch its shard reuses.
-struct Enclosure {
-    drive: WindowedDrive,
-    pending: VecDeque<Request>,
-    capacity: u64,
-    routed: u64,
-    completed: u64,
-    max_air: Celsius,
-    max_local_ambient: Celsius,
-    air_integral: f64,
-    duty_sum: f64,
-    windows: u64,
-    time_over: Seconds,
-    time_gated: Seconds,
-    time_scaled: Seconds,
-    time_boosted: Seconds,
-    /// The reading the fleet's sensor holds for this bay between polls.
-    held: HeldReading,
-    /// Spindle, actuator and electronics energy of the bay's disks.
-    energy: EnergyMeter,
-    /// Whether the coordinator gates this bay for the current epoch
-    /// (written serially at the epoch boundary, read by the shard).
-    epoch_gated: bool,
-    /// This epoch's completions; cleared and refilled each epoch so the
-    /// shard never allocates in steady state.
-    completions: Vec<Completion>,
-    /// Per-window sample scratch, reused across epochs.
-    samples: Vec<WindowSample>,
-    /// Mean actuator duty / utilization over the last epoch.
-    epoch_duty: f64,
-    epoch_util: f64,
-    /// Response-time statistics over this bay's completions, folded by
-    /// the shard so the epoch boundary only merges per-bay summaries.
-    stats: ResponseStats,
-    /// This epoch's pre-sorted event run (the drained drive stream plus
-    /// the bay's boundary events), streamed into the sink by the k-way
-    /// merge and then cleared, keeping its capacity.
-    run: Vec<diskobs::TimedEvent>,
-}
-
-/// Complete dynamic state of one [`Enclosure`], captured for
-/// checkpointing. Epoch scratch (`epoch_gated`, `completions`,
-/// `samples`, `run`) is rebuilt empty on restore: every field of it is
-/// overwritten before its next read, so the scratch never carries
-/// state across an epoch boundary. The bay's response-time statistics
-/// live here (not fleet-wide) since the shards fold them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct EnclosureState {
-    drive: DriveState,
-    pending: Vec<Request>,
-    capacity: u64,
-    routed: u64,
-    completed: u64,
-    max_air: Celsius,
-    max_local_ambient: Celsius,
-    air_integral: f64,
-    duty_sum: f64,
-    windows: u64,
-    time_over: Seconds,
-    time_gated: Seconds,
-    time_scaled: Seconds,
-    time_boosted: Seconds,
-    held: HeldReading,
-    energy: EnergyReport,
-    epoch_duty: f64,
-    epoch_util: f64,
-    stats: ResponseStats,
-}
-
-impl Enclosure {
-    /// A freshly assembled bay with zeroed statistics.
-    fn fresh(drive: WindowedDrive, capacity: u64, ambient: Celsius) -> Self {
-        Self {
-            max_air: drive.air(),
-            energy: EnergyMeter::new(energy_model(drive.model())),
-            drive,
-            pending: VecDeque::new(),
-            capacity,
-            routed: 0,
-            completed: 0,
-            max_local_ambient: ambient,
-            air_integral: 0.0,
-            duty_sum: 0.0,
-            windows: 0,
-            time_over: Seconds::ZERO,
-            time_gated: Seconds::ZERO,
-            time_scaled: Seconds::ZERO,
-            time_boosted: Seconds::ZERO,
-            held: None,
-            epoch_gated: false,
-            completions: Vec::new(),
-            samples: Vec::new(),
-            epoch_duty: 0.0,
-            epoch_util: 0.0,
-            stats: ResponseStats::new(),
-            run: Vec::new(),
-        }
-    }
-
-    /// Captures the bay's complete dynamic state.
-    fn capture_state(&self) -> EnclosureState {
-        EnclosureState {
-            drive: self.drive.capture_state(),
-            pending: self.pending.iter().copied().collect(),
-            capacity: self.capacity,
-            routed: self.routed,
-            completed: self.completed,
-            max_air: self.max_air,
-            max_local_ambient: self.max_local_ambient,
-            air_integral: self.air_integral,
-            duty_sum: self.duty_sum,
-            windows: self.windows,
-            time_over: self.time_over,
-            time_gated: self.time_gated,
-            time_scaled: self.time_scaled,
-            time_boosted: self.time_boosted,
-            held: self.held,
-            energy: self.energy.report(),
-            epoch_duty: self.epoch_duty,
-            epoch_util: self.epoch_util,
-            stats: self.stats.clone(),
-        }
-    }
-
-    /// Rebuilds a bay mid-flight from a captured state.
-    fn restore_state(state: EnclosureState) -> Result<Self, FleetError> {
-        let drive = WindowedDrive::restore_state(state.drive)?;
-        Ok(Self {
-            energy: EnergyMeter::resume(energy_model(drive.model()), state.energy),
-            drive,
-            pending: state.pending.into(),
-            capacity: state.capacity,
-            routed: state.routed,
-            completed: state.completed,
-            max_air: state.max_air,
-            max_local_ambient: state.max_local_ambient,
-            air_integral: state.air_integral,
-            duty_sum: state.duty_sum,
-            windows: state.windows,
-            time_over: state.time_over,
-            time_gated: state.time_gated,
-            time_scaled: state.time_scaled,
-            time_boosted: state.time_boosted,
-            held: state.held,
-            epoch_gated: false,
-            completions: Vec::new(),
-            samples: Vec::new(),
-            epoch_duty: state.epoch_duty,
-            epoch_util: state.epoch_util,
-            stats: state.stats,
-            run: Vec::new(),
-        })
-    }
-
-    /// Advances one sync epoch through
-    /// [`WindowedDrive::serve_epoch`], folding the window samples into
-    /// the bay's accumulated statistics and energy. Everything lands in
-    /// the bay's own scratch (`completions`, `samples`, `epoch_duty`,
-    /// `epoch_util`), so the parallel phase allocates nothing and
-    /// returns nothing.
-    fn advance_epoch(
-        &mut self,
-        first_window: u64,
-        windows: usize,
-        window: Seconds,
-        envelope: Celsius,
-    ) {
-        self.completions.clear();
-        let mut samples = std::mem::take(&mut self.samples);
-        self.drive
-            .serve_epoch(
-                &mut self.pending,
-                self.epoch_gated,
-                first_window,
-                windows,
-                window,
-                &mut self.completions,
-                &mut samples,
-            )
-            .expect("routed requests are remapped into the drive's range");
-        let mut duty_sum = 0.0;
-        let mut util_sum = 0.0;
-        for sample in &samples {
-            duty_sum += sample.duty;
-            util_sum += sample.util;
-            self.duty_sum += sample.duty;
-            self.windows += 1;
-            let air = sample.air();
-            self.max_air = self.max_air.max(air);
-            self.air_integral += air.get() * window.get();
-            if air > envelope {
-                self.time_over += window;
-            }
-        }
-        self.samples = samples;
-        self.epoch_duty = duty_sum / windows as f64;
-        self.epoch_util = util_sum / windows as f64;
-        // Speeds change only at epoch boundaries, so the epoch's speed
-        // and mean duty meter it exactly.
-        let disks = self.drive.system().disks().len() as f64;
-        let epoch = window * windows as f64;
-        self.energy
-            .accumulate(self.drive.rpm(), epoch * (self.epoch_duty * disks), epoch * disks);
-    }
-}
-
-/// Per-epoch constants threaded through the parallel passes.
-#[derive(Clone, Copy)]
-struct EpochCtx {
-    first_window: u64,
-    windows_per_epoch: usize,
-    window: Seconds,
-    envelope: Celsius,
-    epoch_end: f64,
-    epoch_len: Seconds,
-    sink_enabled: bool,
-    sensor: TempSensor,
-}
-
 /// Hot per-drive state in structure-of-arrays layout. The serial
 /// reduces — the routing commit over `air`/`queue`/`gated`, the
 /// airflow roll-up over `heat`, the coordinator commit over
@@ -432,19 +215,19 @@ struct FleetHotState {
 impl FleetHotState {
     /// (Re)builds the arrays from authoritative state. A cheap length
     /// check while the fleet size is stable; after construction,
-    /// restore, or growth the arrays rebuild from the enclosures and
+    /// restore, or growth the arrays rebuild from the bays and
     /// coordinator, after which the epoch passes keep them current.
-    fn ensure(&mut self, enclosures: &[Enclosure], coordinator: &Coordinator) {
-        let n = enclosures.len();
+    fn ensure(&mut self, bays: &[Bay], coordinator: &Coordinator) {
+        let n = bays.len();
         if self.air.len() == n {
             return;
         }
         self.air.clear();
         self.queue.clear();
         self.gated.clear();
-        for (i, e) in enclosures.iter().enumerate() {
-            self.air.push(e.drive.air());
-            self.queue.push(e.drive.in_flight() + e.pending.len() as u64);
+        for (i, b) in bays.iter().enumerate() {
+            self.air.push(b.air());
+            self.queue.push(b.depth());
             self.gated.push(coordinator.gated(i));
         }
         self.heat.clear();
@@ -453,87 +236,68 @@ impl FleetHotState {
         self.proposals.resize(n, CtlProposal::noop());
     }
 
-    /// Parallel pass A: advances every enclosure through the epoch's
-    /// windows and folds the per-bay outputs — response statistics, the
-    /// drained (pre-sorted) event run, the heat estimate, the boundary
-    /// air reading — without touching any shared state. Chunks are
-    /// contiguous and enclosures never move, so any worker count
+    /// Parallel pass A: [`Bay::sweep`] on every bay, gated as the
+    /// coordinator's epoch-start state says, recording each bay's heat
+    /// estimate and boundary air without touching any shared state.
+    /// Chunks are contiguous and bays never move, so any worker count
     /// produces the same bytes.
-    fn pass_a(&mut self, enclosures: &mut [Enclosure], threads: usize, ctx: &EpochCtx) {
+    fn pass_a(&mut self, bays: &mut [Bay], threads: usize, ctx: &EpochCtx) {
         let Self { air, gated, heat, .. } = self;
-        let one = |e: &mut Enclosure, heat: &mut f64, air: &mut Celsius, gate: bool| {
-            e.epoch_gated = gate;
-            e.advance_epoch(ctx.first_window, ctx.windows_per_epoch, ctx.window, ctx.envelope);
-            for c in &e.completions {
-                // Background rebuild reads heat the drives and contend
-                // for the queue but stay out of the foreground numbers.
-                if c.request.id < REBUILD_ID_BASE {
-                    e.stats.record(c.response_time());
-                    e.completed += 1;
-                }
-            }
-            if ctx.sink_enabled {
-                e.run.clear();
-                e.drive.drain_events_into(&mut e.run);
-                debug_assert!(diskobs::is_time_sorted(&e.run), "drive streams are time-sorted");
-            }
-            let op = OperatingPoint::new(e.drive.rpm(), e.epoch_duty);
-            *heat = drive_heat_estimate(e.drive.model().spec(), op).get();
-            *air = e.drive.air();
+        let one = |b: &mut Bay, heat: &mut f64, air: &mut Celsius, gated: bool| {
+            (*heat, *air) = b.sweep(gated, ctx);
         };
 
-        let n = enclosures.len();
+        let n = bays.len();
         let workers = threads.clamp(1, n.max(1));
         let chunk = n.div_ceil(workers);
         if workers <= 1 || chunk >= n {
-            for ((e, h), (a, &g)) in enclosures
+            for ((b, h), (a, &g)) in bays
                 .iter_mut()
                 .zip(heat.iter_mut())
                 .zip(air.iter_mut().zip(gated.iter()))
             {
-                one(e, h, a, g);
+                one(b, h, a, g);
             }
             return;
         }
         std::thread::scope(|scope| {
             let one = &one;
-            let mut rest = (enclosures, &mut heat[..], &mut air[..], &gated[..]);
+            let mut rest = (bays, &mut heat[..], &mut air[..], &gated[..]);
             while !rest.0.is_empty() {
                 let take = chunk.min(rest.0.len());
-                let (e_c, e_r) = rest.0.split_at_mut(take);
+                let (b_c, b_r) = rest.0.split_at_mut(take);
                 let (h_c, h_r) = rest.1.split_at_mut(take);
                 let (a_c, a_r) = rest.2.split_at_mut(take);
                 let (g_c, g_r) = rest.3.split_at(take);
-                rest = (e_r, h_r, a_r, g_r);
+                rest = (b_r, h_r, a_r, g_r);
                 scope.spawn(move || {
-                    for ((e, h), (a, &g)) in
-                        e_c.iter_mut().zip(h_c.iter_mut()).zip(a_c.iter_mut().zip(g_c.iter()))
+                    for ((b, h), (a, &g)) in
+                        b_c.iter_mut().zip(h_c.iter_mut()).zip(a_c.iter_mut().zip(g_c.iter()))
                     {
-                        one(e, h, a, g);
+                        one(b, h, a, g);
                     }
                 });
             }
         });
     }
 
-    /// Parallel pass B: pushes the preheated ambients back into the
-    /// thermal models (per-rack prefix sums for the hierarchy, the
-    /// precomputed dense ambients for flat graphs), emits each bay's
-    /// boundary events into its run, and stages the coordinator's
+    /// Parallel pass B: [`Bay::boundary`] on every bay at its preheated
+    /// ambient (per-rack prefix sums for the hierarchy, the precomputed
+    /// dense ambients for flat graphs), staging each coordinator
     /// proposal for the serial commit. Hierarchy chunks align to rack
     /// boundaries so every intra-rack prefix stays on one worker and
     /// the arithmetic matches [`AirflowGraph::local_ambients`] bit for
     /// bit.
     fn pass_b(
         &mut self,
-        enclosures: &mut [Enclosure],
+        bays: &mut [Bay],
         coordinator: &Coordinator,
         airflow: &AirflowGraph,
         threads: usize,
         ctx: &EpochCtx,
         bias: &[f64],
     ) {
-        let n = enclosures.len();
+        let n = bays.len();
         let inlet = airflow.inlet();
         let shape = airflow.hall_shape();
         // Cooling-excursion bias: an absent or zero entry is exactly a
@@ -544,7 +308,6 @@ impl FleetHotState {
             _ => a,
         };
         let Self {
-            air,
             queue,
             gated,
             heat,
@@ -553,67 +316,16 @@ impl FleetHotState {
             flat_ambients,
             ..
         } = self;
-        let (air, heat) = (&air[..], &heat[..]);
+        let heat = &heat[..];
         let (rack_base, flat_ambients) = (&rack_base[..], &flat_ambients[..]);
 
-        // One bay: couple, sense, snapshot, propose, actuate, account.
         let one = |i: usize,
-                   e: &mut Enclosure,
+                   b: &mut Bay,
                    ambient: Celsius,
                    depth_out: &mut u64,
                    gate_out: &mut bool,
                    proposal_out: &mut CtlProposal| {
-            e.drive.set_ambient(ambient);
-            e.max_local_ambient = e.max_local_ambient.max(ambient);
-            let depth = e.drive.in_flight() + e.pending.len() as u64;
-            let sensed = ctx.sensor.read(&mut e.held, Seconds::new(ctx.epoch_end), air[i]);
-            if ctx.sink_enabled {
-                if !ctx.sensor.is_ideal() {
-                    e.run.push(diskobs::TimedEvent {
-                        t: ctx.epoch_end,
-                        event: diskobs::Event::SensorReading {
-                            drive: i,
-                            sensed_c: sensed.get(),
-                            actual_c: air[i].get(),
-                        },
-                    });
-                }
-                e.run.push(diskobs::TimedEvent {
-                    t: ctx.epoch_end,
-                    event: diskobs::Event::Snapshot {
-                        drive: i,
-                        air_c: e.drive.air().get(),
-                        ambient_c: e.drive.model().spec().ambient().get(),
-                        queue: depth,
-                        util: e.epoch_util,
-                        duty: e.epoch_duty,
-                        rpm: e.drive.rpm().get(),
-                        gated: coordinator.gated(i),
-                    },
-                });
-            }
-            let p = coordinator.propose(i, sensed);
-            if let Some(rpm) = p.rpm {
-                e.drive.set_all_rpm(rpm);
-            }
-            if ctx.sink_enabled {
-                if let Some(action) = p.action {
-                    e.run.push(diskobs::TimedEvent {
-                        t: ctx.epoch_end,
-                        event: diskobs::Event::CoordinatorAction { drive: i, action },
-                    });
-                }
-                e.drive.drain_events_into(&mut e.run);
-            }
-            if p.gates() {
-                e.time_gated += ctx.epoch_len;
-            }
-            if p.scales() {
-                e.time_scaled += ctx.epoch_len;
-            }
-            if p.boosts() {
-                e.time_boosted += ctx.epoch_len;
-            }
+            let (depth, p) = b.boundary(i, ambient, coordinator, ctx);
             *depth_out = depth;
             *gate_out = p.gates();
             *proposal_out = p;
@@ -621,30 +333,30 @@ impl FleetHotState {
 
         // One contiguous chunk of bays starting at global index `start`.
         let run_chunk = |start: usize,
-                         e_c: &mut [Enclosure],
+                         b_c: &mut [Bay],
                          q_c: &mut [u64],
                          g_c: &mut [bool],
                          p_c: &mut [CtlProposal]| {
             match &shape {
                 Some(s) => {
-                    for (rk, rack) in e_c.chunks_mut(s.per_rack).enumerate() {
+                    for (rk, rack) in b_c.chunks_mut(s.per_rack).enumerate() {
                         let rack_start = start + rk * s.per_rack;
                         let base = rack_base[rack_start / s.per_rack];
                         let mut prefix = 0.0;
-                        for (off, e) in rack.iter_mut().enumerate() {
+                        for (off, b) in rack.iter_mut().enumerate() {
                             let i = rack_start + off;
                             let ambient =
                                 biased(i, inlet + units::TempDelta::new(base + s.k_drive * prefix));
                             prefix += heat[i];
                             let l = i - start;
-                            one(i, e, ambient, &mut q_c[l], &mut g_c[l], &mut p_c[l]);
+                            one(i, b, ambient, &mut q_c[l], &mut g_c[l], &mut p_c[l]);
                         }
                     }
                 }
                 None => {
-                    for (off, e) in e_c.iter_mut().enumerate() {
+                    for (off, b) in b_c.iter_mut().enumerate() {
                         let i = start + off;
-                        one(i, e, biased(i, flat_ambients[i]), &mut q_c[off], &mut g_c[off], &mut p_c[off]);
+                        one(i, b, biased(i, flat_ambients[i]), &mut q_c[off], &mut g_c[off], &mut p_c[off]);
                     }
                 }
             }
@@ -658,22 +370,22 @@ impl FleetHotState {
             None => n.div_ceil(workers),
         };
         if workers <= 1 || chunk >= n {
-            run_chunk(0, enclosures, &mut queue[..], &mut gated[..], &mut proposals[..]);
+            run_chunk(0, bays, &mut queue[..], &mut gated[..], &mut proposals[..]);
             return;
         }
         std::thread::scope(|scope| {
             let run_chunk = &run_chunk;
             let mut start = 0usize;
-            let mut rest = (enclosures, &mut queue[..], &mut gated[..], &mut proposals[..]);
+            let mut rest = (bays, &mut queue[..], &mut gated[..], &mut proposals[..]);
             while !rest.0.is_empty() {
                 let take = chunk.min(rest.0.len());
-                let (e_c, e_r) = rest.0.split_at_mut(take);
+                let (b_c, b_r) = rest.0.split_at_mut(take);
                 let (q_c, q_r) = rest.1.split_at_mut(take);
                 let (g_c, g_r) = rest.2.split_at_mut(take);
                 let (p_c, p_r) = rest.3.split_at_mut(take);
-                rest = (e_r, q_r, g_r, p_r);
+                rest = (b_r, q_r, g_r, p_r);
                 let s = start;
-                scope.spawn(move || run_chunk(s, e_c, q_c, g_c, p_c));
+                scope.spawn(move || run_chunk(s, b_c, q_c, g_c, p_c));
                 start += take;
             }
         });
@@ -772,7 +484,12 @@ impl FleetPhaseProfile {
 /// indefinitely, feed it arrivals incrementally, and checkpoint it
 /// between epochs with [`Fleet::capture_state`].
 pub struct Fleet {
-    enclosures: Vec<Enclosure>,
+    bays: Vec<Bay>,
+    /// The disk every new bay is built from.
+    spec: DiskSpec,
+    /// The drive's thermal geometry every bay shares; each bay couples
+    /// it to its own local ambient.
+    thermal: DriveThermalSpec,
     router: Router,
     coordinator: Coordinator,
     airflow: AirflowGraph,
@@ -818,7 +535,9 @@ pub struct Fleet {
 /// captured exactly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetState {
-    enclosures: Vec<EnclosureState>,
+    bays: Vec<BayState>,
+    spec: DiskSpec,
+    thermal: DriveThermalSpec,
     routing: RoutingPolicy,
     router_cursor: usize,
     coordinator: CoordinatorState,
@@ -850,7 +569,7 @@ impl FleetState {
 
     /// Number of enclosures the state carries.
     pub fn enclosures(&self) -> usize {
-        self.enclosures.len()
+        self.bays.len()
     }
 }
 
@@ -862,19 +581,16 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Rejects a zero-window or zero-epoch configuration and propagates
-    /// simulator construction failures.
+    /// Rejects a control window that is not positive and finite, a
+    /// zero-window epoch, an epoch longer than 24 hours and a DTM policy
+    /// speed that is negative or not finite, and propagates simulator
+    /// construction failures.
     pub fn new(config: FleetConfig) -> Result<Self, FleetError> {
-        if config.window.get() <= 0.0 {
-            return Err(FleetError::Config("control window must be positive".into()));
-        }
-        if config.windows_per_epoch == 0 {
-            return Err(FleetError::Config("an epoch needs at least one window".into()));
-        }
+        check_settings(config.window, config.windows_per_epoch, &config.dtm)?;
         let n = config.airflow.len();
-        let mut enclosures = Vec::with_capacity(n);
+        let mut bays = Vec::with_capacity(n);
         assemble_bays(
-            &mut enclosures,
+            &mut bays,
             &config.spec,
             config.array,
             &config.thermal,
@@ -883,7 +599,9 @@ impl Fleet {
         )?;
 
         Ok(Self {
-            enclosures,
+            bays,
+            spec: config.spec,
+            thermal: config.thermal,
             router: Router::new(config.routing),
             coordinator: Coordinator::new(config.dtm, config.envelope, n),
             airflow: config.airflow,
@@ -909,12 +627,12 @@ impl Fleet {
 
     /// Number of enclosures.
     pub fn len(&self) -> usize {
-        self.enclosures.len()
+        self.bays.len()
     }
 
     /// Whether the fleet is empty (never true for a validated config).
     pub fn is_empty(&self) -> bool {
-        self.enclosures.is_empty()
+        self.bays.is_empty()
     }
 
     /// Runs a logical trace through the fleet. Requests target the fleet
@@ -1001,13 +719,9 @@ impl Fleet {
                 break;
             }
             // A fleet gated forever would never drain.
-            if self.now.get() > 24.0 * 3600.0 {
+            if self.now > SIM_TIME_CAP {
                 let pending = self.incoming.len() as u64
-                    + self
-                        .enclosures
-                        .iter()
-                        .map(|e| e.pending.len() as u64 + e.drive.in_flight())
-                        .sum::<u64>();
+                    + self.bays.iter().map(Bay::depth).sum::<u64>();
                 return Err(FleetError::SimTimeCap {
                     at: self.now,
                     pending,
@@ -1049,26 +763,22 @@ impl Fleet {
     /// [`Self::disable_drive_sinks`] when switching back to untraced
     /// stepping, or buffered events accumulate undrained.
     pub fn enable_drive_sinks(&mut self) {
-        for (i, e) in self.enclosures.iter_mut().enumerate() {
-            e.drive.set_sink(diskobs::Sink::buffer().with_scope(i));
+        for (i, b) in self.bays.iter_mut().enumerate() {
+            b.system.set_sink(diskobs::Sink::buffer().with_scope(i));
         }
     }
 
     /// Reverts every drive to the no-op sink (no per-request events).
     pub fn disable_drive_sinks(&mut self) {
-        for e in &mut self.enclosures {
-            e.drive.set_sink(diskobs::Sink::null());
+        for b in &mut self.bays {
+            b.system.set_sink(diskobs::Sink::null());
         }
     }
 
     /// Whether no work remains anywhere: nothing queued for routing,
     /// nothing pending admission, nothing in flight.
     pub fn is_drained(&self) -> bool {
-        self.incoming.is_empty()
-            && self
-                .enclosures
-                .iter()
-                .all(|e| e.pending.is_empty() && e.drive.in_flight() == 0)
+        self.incoming.is_empty() && self.bays.iter().all(|b| b.depth() == 0)
     }
 
     /// Advances the fleet through exactly one sync epoch: commits the
@@ -1090,12 +800,11 @@ impl Fleet {
     /// shard count.
     pub fn step_epoch(&mut self, sink: &mut diskobs::Sink, profile: &mut FleetPhaseProfile) {
         if !self.primed {
-            self.coordinator
-                .prime(|i, rpm| self.enclosures[i].drive.set_all_rpm(rpm));
+            self.coordinator.prime(|i, rpm| self.bays[i].set_all_rpm(rpm));
             self.primed = true;
         }
 
-        let n = self.enclosures.len();
+        let n = self.bays.len();
         let epoch_len = self.window * self.windows_per_epoch as f64;
         let epoch_start = std::time::Instant::now();
         let epoch_end = self.now + epoch_len;
@@ -1116,7 +825,7 @@ impl Fleet {
         // placements, so the decision sequence is independent of
         // sharding; the tournament tree makes each commit O(log n)
         // instead of the old O(n) scan.
-        self.hot.ensure(&self.enclosures, &self.coordinator);
+        self.hot.ensure(&self.bays, &self.coordinator);
         let mut routing_run = std::mem::take(&mut self.routing_run);
         routing_run.clear();
 
@@ -1142,11 +851,11 @@ impl Fleet {
         let mut k = 0;
         while k < self.rebuilds.len() {
             let rb = &mut self.rebuilds[k];
-            let e = &mut self.enclosures[rb.enclosure];
+            let bay = &mut self.bays[rb.enclosure];
             let mut budget = rb.rate * epoch_len.get() + rb.carry;
             while budget >= rb.chunk as f64 && rb.done < rb.total {
                 let sectors = (rb.chunk as u64).min(rb.total - rb.next_lba) as u32;
-                e.pending.push_back(Request::new(
+                bay.pending.push_back(Request::new(
                     REBUILD_ID_BASE + rb.next_lba,
                     self.now,
                     0,
@@ -1174,7 +883,7 @@ impl Fleet {
                 });
             }
             if rb.done >= rb.total {
-                e.drive.system_mut().repair_disk();
+                bay.system.repair_disk();
                 self.rebuilds.remove(k);
             } else {
                 k += 1;
@@ -1201,31 +910,30 @@ impl Fleet {
                     },
                 });
             }
-            let e = &mut self.enclosures[i];
-            e.pending.push_back(remap(r, e.capacity));
-            e.routed += 1;
+            self.bays[i].route(r);
         }
 
         // Parallel pass A — window sweeps plus per-bay folds.
         let stamp = std::time::Instant::now();
-        self.hot.pass_a(&mut self.enclosures, self.threads, &ctx);
+        self.hot.pass_a(&mut self.bays, self.threads, &ctx);
         let mut parallel = stamp.elapsed();
 
         // Serial reduce 2 — the only cross-rack thermal coupling:
         // per-rack heat totals roll up into per-level preheat prefixes,
         // O(racks). Flat graphs keep the dense evaluation.
+        let hot = &mut self.hot;
         if let Some(shape) = self.airflow.hall_shape() {
-            self.hot.rack_heat = rack_heats(&shape, &self.hot.heat);
-            self.hot.rack_base = self.airflow.rack_preheats(&shape, &self.hot.rack_heat);
+            rack_heats(&shape, &hot.heat, &mut hot.rack_heat);
+            self.airflow.rack_preheats(&shape, &hot.rack_heat, &mut hot.rack_base);
         } else {
-            self.hot.flat_ambients = self.airflow.local_ambients(&self.hot.heat);
+            self.airflow.local_ambients_into(&hot.heat, &mut hot.flat_ambients);
         }
 
         // Parallel pass B — ambient push-back, boundary events, and
         // coordinator proposals.
         let stamp = std::time::Instant::now();
         self.hot.pass_b(
-            &mut self.enclosures,
+            &mut self.bays,
             &self.coordinator,
             &self.airflow,
             self.threads,
@@ -1247,7 +955,7 @@ impl Fleet {
             // time.
             let mut runs: Vec<&[diskobs::TimedEvent]> = Vec::with_capacity(n + 1);
             runs.push(&routing_run);
-            runs.extend(self.enclosures.iter().map(|e| e.run.as_slice()));
+            runs.extend(self.bays.iter().map(|b| b.run.as_slice()));
             disksim::par::merge_runs_by(
                 &runs,
                 |e| disksim::par::total_order_key(e.t),
@@ -1255,8 +963,8 @@ impl Fleet {
                 |e| sink.record(e),
             );
             routing_run.clear();
-            for e in &mut self.enclosures {
-                e.run.clear();
+            for b in &mut self.bays {
+                b.run.clear();
             }
         }
         self.routing_run = routing_run;
@@ -1276,34 +984,10 @@ impl Fleet {
     /// without consuming it, so the stepwise caller can keep advancing
     /// afterwards.
     pub fn report(&self) -> FleetReport {
-        let n = self.enclosures.len();
+        let n = self.bays.len();
         let now = self.now;
-        let per_enclosure: Vec<EnclosureReport> = self
-            .enclosures
-            .iter()
-            .map(|e| EnclosureReport {
-                routed: e.routed,
-                completed: e.completed,
-                max_air: e.max_air,
-                max_local_ambient: e.max_local_ambient,
-                mean_air: if now.get() > 0.0 {
-                    Celsius::new(e.air_integral / now.get())
-                } else {
-                    e.drive.air()
-                },
-                mean_duty: if e.windows == 0 {
-                    0.0
-                } else {
-                    e.duty_sum / e.windows as f64
-                },
-                final_rpm: e.drive.rpm(),
-                time_over_envelope: e.time_over,
-                time_gated: e.time_gated,
-                time_scaled: e.time_scaled,
-                time_boosted: e.time_boosted,
-                energy: e.energy.report(),
-            })
-            .collect();
+        let per_enclosure: Vec<EnclosureReport> =
+            self.bays.iter().map(|b| b.report(now)).collect();
 
         let max_air = per_enclosure
             .iter()
@@ -1338,8 +1022,8 @@ impl Fleet {
     /// shard count.
     pub fn stats(&self) -> ResponseStats {
         let mut total = ResponseStats::new();
-        for e in &self.enclosures {
-            total.merge(&e.stats);
+        for b in &self.bays {
+            total.merge(&b.stats);
         }
         total
     }
@@ -1348,15 +1032,15 @@ impl Fleet {
     /// summed. Equal to `self.stats().count()` (merging adds counts)
     /// without merging every bay's histogram.
     pub fn stats_count(&self) -> u64 {
-        self.enclosures.iter().map(|e| e.stats.count()).sum()
+        self.bays.iter().map(|b| b.stats.count()).sum()
     }
 
     /// Discards the accumulated response-time statistics. What-if forks
     /// call this on both the baseline and the perturbed copy at the
     /// fork point so the comparison covers only the forked horizon.
     pub fn reset_stats(&mut self) {
-        for e in &mut self.enclosures {
-            e.stats = ResponseStats::new();
+        for b in &mut self.bays {
+            b.stats = ResponseStats::new();
         }
     }
 
@@ -1382,18 +1066,12 @@ impl Fleet {
 
     /// The hottest internal-air temperature across the fleet right now.
     pub fn peak_air(&self) -> Celsius {
-        self.enclosures
-            .iter()
-            .map(|e| e.drive.air())
-            .fold(self.airflow.inlet(), Celsius::max)
+        self.bays.iter().map(Bay::air).fold(self.airflow.inlet(), Celsius::max)
     }
 
     /// The hottest preheated local ambient across the fleet right now.
     pub fn peak_local_ambient(&self) -> Celsius {
-        self.enclosures
-            .iter()
-            .map(|e| e.drive.model().spec().ambient())
-            .fold(self.airflow.inlet(), Celsius::max)
+        self.bays.iter().map(Bay::ambient).fold(self.airflow.inlet(), Celsius::max)
     }
 
     /// Number of drives currently under coordinator control action.
@@ -1429,17 +1107,17 @@ impl Fleet {
         disk: u32,
         rebuild: RebuildSpec,
     ) -> Result<(), FleetError> {
-        let fleet = self.enclosures.len();
-        let Some(e) = self.enclosures.get_mut(enclosure) else {
+        let fleet = self.bays.len();
+        let Some(bay) = self.bays.get_mut(enclosure) else {
             return Err(FleetError::NoSuchEnclosure { enclosure, fleet });
         };
-        e.drive.system_mut().fail_disk(disk)?;
+        bay.system.fail_disk(disk)?;
         if rebuild.rate_sectors_per_sec > 0.0 && rebuild.chunk_sectors > 0 {
             self.rebuilds.push(Rebuild {
                 enclosure,
                 disk,
                 next_lba: 0,
-                total: e.drive.system().logical_sectors(),
+                total: bay.system.logical_sectors(),
                 done: 0,
                 rate: rebuild.rate_sectors_per_sec,
                 chunk: rebuild.chunk_sectors,
@@ -1464,11 +1142,11 @@ impl Fleet {
     ///
     /// Rejects a non-empty slice whose length differs from the fleet's.
     pub fn set_ambient_bias(&mut self, bias: &[f64]) -> Result<(), FleetError> {
-        if !bias.is_empty() && bias.len() != self.enclosures.len() {
+        if !bias.is_empty() && bias.len() != self.bays.len() {
             return Err(FleetError::Config(format!(
                 "ambient bias covers {} drives but the fleet has {}",
                 bias.len(),
-                self.enclosures.len()
+                self.bays.len()
             )));
         }
         self.ambient_bias.clear();
@@ -1486,38 +1164,35 @@ impl Fleet {
 
     /// Grows the fleet in place: `airflow` replaces the coupling graph
     /// and must contain every existing bay (same indices) plus the new
-    /// ones at the tail. New bays are assembled as [`Self::new`] would
-    /// without a start temperature — idle-preheated against the new
-    /// graph — and the coordinator primes them through its policy.
+    /// ones at the tail. New bays are built from the fleet's own disk
+    /// and thermal specs as [`Self::new`] would without a start
+    /// temperature — idle-preheated against the new graph — and the
+    /// coordinator primes them through its policy.
     ///
     /// # Errors
     ///
     /// Rejects a graph that does not grow the fleet and propagates
     /// simulator construction failures.
-    pub fn add_enclosures(
-        &mut self,
-        spec: &DiskSpec,
-        thermal: &DriveThermalSpec,
-        airflow: AirflowGraph,
-    ) -> Result<(), FleetError> {
-        let old = self.enclosures.len();
+    pub fn add_enclosures(&mut self, airflow: AirflowGraph) -> Result<(), FleetError> {
+        let old = self.bays.len();
         let n = airflow.len();
         if n <= old {
             return Err(FleetError::Config(format!(
                 "replacement airflow graph must grow the fleet: {n} nodes for {old} existing bays"
             )));
         }
-        assemble_bays(&mut self.enclosures, spec, self.array, thermal, &airflow, None)?;
+        assemble_bays(&mut self.bays, &self.spec, self.array, &self.thermal, &airflow, None)?;
         self.airflow = airflow;
-        self.coordinator
-            .grow(n - old, |i, rpm| self.enclosures[i].drive.set_all_rpm(rpm));
+        self.coordinator.grow(n - old, |i, rpm| self.bays[i].set_all_rpm(rpm));
         Ok(())
     }
 
     /// Captures the fleet's complete dynamic state between sync epochs.
     pub fn capture_state(&self) -> FleetState {
         FleetState {
-            enclosures: self.enclosures.iter().map(Enclosure::capture_state).collect(),
+            bays: self.bays.iter().map(Bay::capture_state).collect(),
+            spec: self.spec.clone(),
+            thermal: self.thermal,
             routing: self.router.policy(),
             router_cursor: self.router.cursor(),
             coordinator: self.coordinator.capture_state(),
@@ -1544,15 +1219,18 @@ impl Fleet {
     /// # Errors
     ///
     /// Rejects inconsistent states (mismatched enclosure / airflow /
-    /// coordinator sizes, degenerate windows, response statistics whose
-    /// counts, span or extremes do not hold together) and propagates
-    /// simulator restore failures — the checks that catch a corrupted
-    /// checkpoint body whose JSON still parses.
+    /// coordinator sizes, an airflow graph, windows, epochs and DTM
+    /// speeds [`Self::new`] would reject,
+    /// a thermal spec [`DriveThermalSpec::try_new`] would reject,
+    /// response statistics whose counts, span or extremes do not hold
+    /// together) and propagates simulator restore failures — the checks
+    /// that catch a corrupted checkpoint body whose JSON still parses.
     pub fn restore_state(state: FleetState) -> Result<Self, FleetError> {
-        if state.enclosures.is_empty() {
+        if state.bays.is_empty() {
             return Err(FleetError::Config("fleet state has no enclosures".into()));
         }
-        let n = state.enclosures.len();
+        let n = state.bays.len();
+        state.airflow.validate()?;
         if state.airflow.len() != n {
             return Err(FleetError::Config(format!(
                 "airflow graph covers {} drives but the state carries {n} enclosures",
@@ -1565,12 +1243,11 @@ impl Fleet {
                 state.coordinator.drives()
             )));
         }
-        if state.window.get() <= 0.0 {
-            return Err(FleetError::Config("control window must be positive".into()));
-        }
-        if state.windows_per_epoch == 0 {
-            return Err(FleetError::Config("an epoch needs at least one window".into()));
-        }
+        check_settings(state.window, state.windows_per_epoch, &state.coordinator.policy())?;
+        state
+            .thermal
+            .validate()
+            .map_err(|e| FleetError::Config(format!("fleet thermal spec: {e}")))?;
         if let Some(rb) = state.rebuilds.iter().find(|rb| rb.enclosure >= n) {
             return Err(FleetError::Config(format!(
                 "rebuild targets enclosure {} but the state carries {n}",
@@ -1583,19 +1260,17 @@ impl Fleet {
                 state.ambient_bias.len()
             )));
         }
-        let enclosures = state
-            .enclosures
+        let thermal = state.thermal;
+        let bays = state
+            .bays
             .into_iter()
             .enumerate()
-            .map(|(i, e)| {
-                e.stats.validate().map_err(|msg| {
-                    FleetError::Config(format!("enclosure {i} response statistics: {msg}"))
-                })?;
-                Enclosure::restore_state(e)
-            })
+            .map(|(i, b)| Bay::restore_state(i, b, &thermal))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
-            enclosures,
+            bays,
+            spec: state.spec,
+            thermal,
             router: Router::new(state.routing).with_cursor(state.router_cursor),
             coordinator: Coordinator::restore_state(state.coordinator),
             airflow: state.airflow,
@@ -1620,11 +1295,39 @@ impl Fleet {
     }
 }
 
+/// Checks what every epoch relies on: a positive, finite control window,
+/// at least one window per epoch, an epoch no longer than
+/// [`SIM_TIME_CAP`], and DTM speeds a drive can spin at.
+fn check_settings(
+    window: Seconds,
+    windows_per_epoch: usize,
+    dtm: &FleetDtmPolicy,
+) -> Result<(), FleetError> {
+    if !(window.get().is_finite() && window.get() > 0.0) {
+        return Err(FleetError::Config(format!(
+            "control window must be positive and finite, got {} s",
+            window.get()
+        )));
+    }
+    if windows_per_epoch == 0 {
+        return Err(FleetError::Config("an epoch needs at least one window".into()));
+    }
+    let epoch = window * windows_per_epoch as f64;
+    if epoch > SIM_TIME_CAP {
+        return Err(FleetError::Config(format!(
+            "a {} s epoch exceeds the {} s sim-time cap",
+            epoch.get(),
+            SIM_TIME_CAP.get()
+        )));
+    }
+    dtm.check_speeds()
+}
+
 /// Appends the bays of `airflow` past those already in `bays`, each
 /// started at `start` or, when `None`, at its idle-preheated steady
 /// state under the local ambient the idling bays upstream produce.
 fn assemble_bays(
-    bays: &mut Vec<Enclosure>,
+    bays: &mut Vec<Bay>,
     spec: &DiskSpec,
     array: Option<EnclosureArray>,
     thermal: &DriveThermalSpec,
@@ -1636,23 +1339,11 @@ fn assemble_bays(
     let ambients = airflow.local_ambients(&vec![idle_heat; airflow.len()]);
     for ambient in ambients.into_iter().skip(bays.len()) {
         let system = StorageSystem::new(bay_config(spec, array)?)?;
-        let capacity = system.logical_sectors();
-        let model =
-            ThermalModel::with_params(thermal.with_ambient(ambient), ThermalParams::default());
+        let model = ThermalModel::new(thermal.with_ambient(ambient));
         let temps = start.unwrap_or_else(|| model.steady_state(idle));
-        let drive = WindowedDrive::new(system, model).with_initial_temps(temps);
-        bays.push(Enclosure::fresh(drive, capacity, ambient));
+        bays.push(Bay::new(system, model, temps));
     }
     Ok(())
-}
-
-/// The energy coefficients of a bay's disks: the defaults with the
-/// drive's own actuator power.
-fn energy_model(model: &ThermalModel) -> EnergyModel {
-    EnergyModel {
-        vcm_watts: model.spec().vcm_power().get(),
-        ..EnergyModel::default()
-    }
 }
 
 /// The per-bay storage configuration: one drive, or a RAID-5 array
@@ -1662,14 +1353,6 @@ fn bay_config(spec: &DiskSpec, array: Option<EnclosureArray>) -> Result<SystemCo
         Some(a) => SystemConfig::raid5(spec.clone(), a.disks, a.stripe_sectors)?,
         None => SystemConfig::single_disk(spec.clone()),
     })
-}
-
-/// Remaps a fleet-logical request onto one drive: device 0 and an LBA
-/// folded into the drive's addressable range (minus the transfer
-/// length), preserving arrival time, size, and kind.
-fn remap(r: Request, capacity: u64) -> Request {
-    let span = capacity.saturating_sub(r.sectors as u64 + 1).max(1);
-    Request::new(r.id, r.arrival, 0, r.lba % span, r.sectors, r.kind)
 }
 
 #[cfg(test)]
@@ -1722,7 +1405,7 @@ mod tests {
         let mut cfg = config(1, 15_020.0, 12.0);
         cfg.envelope = Celsius::new(20.0);
         cfg.dtm = FleetDtmPolicy::Throttle {
-            mechanism: dtm::ThrottlePolicy::VcmOnly { rpm: Rpm::new(15_020.0) },
+            speeds: None,
             guard: TempDelta::new(0.3),
             resume_margin: TempDelta::new(0.3),
         };
@@ -1796,7 +1479,7 @@ mod tests {
                 envelope: THERMAL_ENVELOPE,
             };
             cfg.dtm = FleetDtmPolicy::Throttle {
-                mechanism: dtm::ThrottlePolicy::VcmOnly { rpm: Rpm::new(15_020.0) },
+                speeds: None,
                 guard: TempDelta::new(0.3),
                 resume_margin: TempDelta::new(0.3),
             };
@@ -1844,7 +1527,7 @@ mod tests {
             base.max_air
         );
         let gated = run(FleetDtmPolicy::Throttle {
-            mechanism: dtm::ThrottlePolicy::VcmOnly { rpm: Rpm::new(24_534.0) },
+            speeds: None,
             guard: TempDelta::new(0.1),
             resume_margin: TempDelta::new(0.2),
         });
@@ -1878,12 +1561,30 @@ mod tests {
 
     #[test]
     fn bad_configs_are_rejected() {
-        let mut cfg = config(2, 15_020.0, 12.0);
-        cfg.window = Seconds::ZERO;
-        assert!(matches!(Fleet::new(cfg), Err(FleetError::Config(_))));
+        for window in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+            let mut cfg = config(2, 15_020.0, 12.0);
+            cfg.window = Seconds::new(window);
+            assert!(matches!(Fleet::new(cfg), Err(FleetError::Config(_))), "window {window}");
+        }
         let mut cfg = config(2, 15_020.0, 12.0);
         cfg.windows_per_epoch = 0;
         assert!(matches!(Fleet::new(cfg), Err(FleetError::Config(_))));
+        let mut cfg = config(2, 15_020.0, 12.0);
+        cfg.dtm = FleetDtmPolicy::Throttle {
+            speeds: Some((Rpm::new(15_020.0), Rpm::new(-1.0))),
+            guard: TempDelta::new(0.3),
+            resume_margin: TempDelta::new(0.3),
+        };
+        assert!(matches!(Fleet::new(cfg), Err(FleetError::Config(_))));
+        // A 25-hour epoch outruns the 24-hour sim-time cap; 24 hours fits.
+        let mut cfg = config(2, 15_020.0, 12.0);
+        cfg.window = Seconds::new(3_600.0);
+        cfg.windows_per_epoch = 25;
+        assert!(matches!(Fleet::new(cfg), Err(FleetError::Config(_))));
+        let mut cfg = config(2, 15_020.0, 12.0);
+        cfg.window = Seconds::new(3_600.0);
+        cfg.windows_per_epoch = 24;
+        assert!(Fleet::new(cfg).is_ok());
         assert!(FleetConfig::serial(
             0,
             DiskSpec::era(2002, 1, Rpm::new(15_020.0)),
@@ -2017,6 +1718,82 @@ mod tests {
         assert!(a.per_enclosure.iter().any(|e| e.time_boosted.get() > 0.0));
         assert!(a.per_enclosure.iter().all(|e| e.energy.total_j() > 0.0));
         assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+    }
+
+    /// A copy of `v` whose numeric leaf number `target` (depth first,
+    /// counted in `seen`) reads `x`.
+    fn with_leaf(
+        v: &serde::Value,
+        target: usize,
+        seen: &mut usize,
+        x: serde::Number,
+    ) -> serde::Value {
+        use serde::Value;
+        match v {
+            Value::Number(_) => {
+                *seen += 1;
+                if *seen - 1 == target {
+                    Value::Number(x)
+                } else {
+                    v.clone()
+                }
+            }
+            Value::Array(items) => {
+                Value::Array(items.iter().map(|i| with_leaf(i, target, seen, x)).collect())
+            }
+            Value::Object(m) => Value::Object(
+                m.iter().map(|(k, i)| (k.clone(), with_leaf(i, target, seen, x))).collect(),
+            ),
+            _ => v.clone(),
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_with_any_leaf_corrupted_is_refused_or_runs() {
+        // Every numeric leaf of a two-bay hall state captured after its
+        // traffic drained (filled histograms, energy, a held sensor
+        // reading, a slack ramp in force), set in turn to -1, 0 and
+        // 1e300: each body must fail to parse, be refused with a typed
+        // error, or restore and step two epochs. A panic or a hang fails
+        // the test.
+        let mut cfg = config(2, 15_020.0, 10.0);
+        cfg.airflow = AirflowGraph::hall(2, 1, 2, Celsius::new(28.0), 0.05, 0.01, 0.004).unwrap();
+        cfg.dtm = FleetDtmPolicy::SlackRamp {
+            base: Rpm::new(15_020.0),
+            high: Rpm::new(20_000.0),
+            slack_margin: TempDelta::new(0.5),
+        };
+        cfg.sensor = TempSensor::smart_style();
+        let mut fleet = Fleet::new(cfg).unwrap();
+        fleet.offer(trace(600, 400.0));
+        let mut sink = diskobs::Sink::null();
+        let mut profile = FleetPhaseProfile::default();
+        while !fleet.is_drained() {
+            fleet.step_epoch(&mut sink, &mut profile);
+        }
+        let tree = serde::Serialize::to_value(&fleet.capture_state());
+        let mut leaves = 0;
+        with_leaf(&tree, usize::MAX, &mut leaves, serde::Number::UInt(0));
+        assert!(leaves > 500, "the state has {leaves} numeric leaves");
+        let (mut refused, mut ran) = (0, 0);
+        for leaf in 0..leaves {
+            for x in [serde::Number::Int(-1), serde::Number::UInt(0), serde::Number::Float(1e300)] {
+                let doctored = with_leaf(&tree, leaf, &mut 0, x);
+                let Ok(state) = serde_json::from_value::<FleetState>(&doctored) else {
+                    refused += 1;
+                    continue;
+                };
+                match Fleet::restore_state(state) {
+                    Err(_) => refused += 1,
+                    Ok(mut restored) => {
+                        restored.step_epoch(&mut sink, &mut profile);
+                        restored.step_epoch(&mut sink, &mut profile);
+                        ran += 1;
+                    }
+                }
+            }
+        }
+        assert!(refused > 0 && ran > 0, "{refused} refused, {ran} ran");
     }
 
     #[test]

@@ -15,16 +15,19 @@
 //! - a **DTM coordinator** ([`FleetDtmPolicy`]) applying per-drive
 //!   speed scaling or slack-ramp (§5.2) and admission-throttle (§5.3)
 //!   decisions under one shared envelope, on each drive's air as a
-//!   configurable sensor reads it, through the trip rule `dtm::trip`;
+//!   configurable sensor reads it, through one trip/resume rule;
 //! - a **sharded deterministic event loop** ([`Fleet::run`]) advancing
-//!   enclosures in parallel between thermal-coupling sync epochs,
+//!   the bays in parallel between thermal-coupling sync epochs,
 //!   byte-identical at any thread count, with per-bay temperature,
 //!   DTM-time and energy accounting ([`EnclosureReport`]).
 //!
-//! This is the repository's one closed DTM loop: a single drive under
-//! per-window control is a one-bay fleet with one window per epoch
-//! (`windows_per_epoch = 1`), started where the caller says
-//! ([`FleetConfig::start`]).
+//! This is the repository's one closed DTM loop. Each bay serves its
+//! requests in fixed control windows, measures the actuator duty they
+//! produced and steps the drive's thermal transient at that operating
+//! point; the coordinator acts on the sensed air at each sync epoch. A
+//! single drive under per-window control is a one-bay fleet with one
+//! window per epoch (`windows_per_epoch = 1`), started where the caller
+//! says ([`FleetConfig::start`]).
 //!
 //! # Examples
 //!
@@ -54,6 +57,7 @@
 #![warn(missing_docs)]
 
 mod airflow;
+mod bay;
 mod coordinator;
 mod error;
 mod fleet;

@@ -5,9 +5,10 @@
 //! work-stealing thread pool, serves repeat runs from a
 //! content-addressed cache under `results/.cache/`, and records what
 //! happened in `results/manifest.json`. The `lab` binary is the single
-//! CLI front end: it also runs the benchmark suites ([`bench`]), the
-//! drive-model calculators ([`model_cli`]), instrumented traces
-//! ([`trace`]) and the digital-twin server ([`twin_cli`]).
+//! CLI front end: it also runs the benchmark suites
+//! ([`bench`](mod@bench)), the drive-model calculators ([`model_cli`]),
+//! instrumented traces ([`trace`]) and the digital-twin server
+//! ([`twin_cli`]).
 
 pub mod bench;
 pub mod cli;

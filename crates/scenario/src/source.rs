@@ -49,9 +49,10 @@ impl From<ReplayError> for String {
 /// id — the order `Fleet::run` imposes) and replays lap after lap: when the
 /// recording runs out, it starts over with arrivals shifted by one
 /// recording period and ids shifted by one recording length, so the
-/// stream never ends and never repeats an id. [`Self::scale_traffic`]
-/// compresses future inter-arrival gaps without ever moving time
-/// backwards, matching the synthetic stream's rate-scaling semantics.
+/// stream never ends and never repeats an id. Rescaling it through
+/// [`ArrivalSource::scale_traffic`] compresses future inter-arrival gaps
+/// without ever moving time backwards, matching the synthetic stream's
+/// rate-scaling semantics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplaySource {
     trace: Vec<Request>,

@@ -113,25 +113,38 @@ impl DriveThermalSpec {
     /// diameter is not positive and finite, or the platter does not fit
     /// the default 3.5″ enclosure.
     pub fn try_new(platter_diameter: Inches, platters: u32) -> Result<Self, ThermalError> {
-        if platters == 0 {
-            return Err(ThermalError::BadSpec("a drive needs at least one platter"));
-        }
-        if platter_diameter.get() <= 0.0 || !platter_diameter.is_finite() {
-            return Err(ThermalError::BadSpec("platter diameter must be positive"));
-        }
-        let ff = FormFactor::Standard35;
-        if platter_diameter > ff.max_platter() {
-            return Err(ThermalError::BadSpec(
-                "platter does not fit a 3.5\" enclosure",
-            ));
-        }
-        Ok(Self {
+        let mut spec = Self {
             platter_diameter,
             platters,
-            form_factor: ff,
-            vcm_power: vcm_power_for_platter(platter_diameter),
+            form_factor: FormFactor::Standard35,
+            vcm_power: Power::ZERO,
             ambient: Self::DEFAULT_AMBIENT,
-        })
+        };
+        spec.validate()?;
+        // The correlation is defined only for a valid diameter.
+        spec.vcm_power = vcm_power_for_platter(platter_diameter);
+        Ok(spec)
+    }
+
+    /// Checks the rules [`Self::try_new`] enforces on a spec that
+    /// arrived some other way, such as a restored checkpoint: at least
+    /// one platter, and a positive, finite diameter that fits the spec's
+    /// enclosure.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ThermalError::BadSpec`] naming the first rule broken.
+    pub fn validate(&self) -> Result<(), ThermalError> {
+        if self.platters == 0 {
+            return Err(ThermalError::BadSpec("a drive needs at least one platter"));
+        }
+        if self.platter_diameter.get() <= 0.0 || !self.platter_diameter.is_finite() {
+            return Err(ThermalError::BadSpec("platter diameter must be positive"));
+        }
+        if self.platter_diameter > self.form_factor.max_platter() {
+            return Err(ThermalError::BadSpec("platter does not fit its enclosure"));
+        }
+        Ok(())
     }
 
     /// The Seagate Cheetah 15K.3 configuration the paper disassembled and

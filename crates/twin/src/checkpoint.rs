@@ -1,5 +1,5 @@
 //! The checkpoint file format: a versioned, checksummed, atomically
-//! written snapshot of a [`TwinState`](crate::TwinState).
+//! written snapshot of a [`TwinState`].
 //!
 //! Layout (all ASCII header, then the body):
 //!
@@ -51,7 +51,18 @@ pub const CHECKPOINT_MAGIC: &str = "DISKTWIN";
 ///   boosted time and energy, the coordinator each drive's slack-ramp
 ///   state, and a throttle policy its mechanism. Version-4 bodies lack
 ///   them, so they fail fast with [`CheckpointError::VersionMismatch`].
-pub const STATE_VERSION: u32 = 5;
+/// - 6: one bay type. Each enclosure's state is one flat `bays` entry
+///   holding only what that bay alone knows (its local ambient, node
+///   temperatures and duty baselines sit beside its queue and
+///   statistics; the nested drive state, the per-bay thermal spec and
+///   parameters, the capacity, the transient's clock and the last
+///   epoch's mean duty and utilization are gone). The disk and thermal
+///   specs every bay shares move from the twin state into the fleet
+///   state, held once, and a throttle names its optional (high, low)
+///   spindle speeds instead of a mechanism. Version-5 bodies carry the
+///   nested shape, so they fail fast with
+///   [`CheckpointError::VersionMismatch`].
+pub const STATE_VERSION: u32 = 6;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]

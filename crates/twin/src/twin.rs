@@ -76,8 +76,6 @@ impl TwinConfig {
 pub struct TwinState {
     /// Format version ([`STATE_VERSION`]); checked on restore.
     pub version: u32,
-    spec: DiskSpec,
-    thermal: DriveThermalSpec,
     stream_w_per_k: f64,
     fleet: FleetState,
     source: ArrivalSourceState,
@@ -114,8 +112,6 @@ pub struct Twin {
     /// the start of the next epoch so the stream is consumed exactly
     /// once regardless of where checkpoints land.
     lookahead: Option<Request>,
-    spec: DiskSpec,
-    thermal: DriveThermalSpec,
     stream_w_per_k: f64,
     profile: diskfleet::FleetPhaseProfile,
 }
@@ -149,7 +145,7 @@ impl Twin {
         }
         let mut fleet_cfg = FleetConfig::serial(
             config.enclosures,
-            config.spec.clone(),
+            config.spec,
             config.thermal,
             config.stream_w_per_k,
         )?;
@@ -163,8 +159,6 @@ impl Twin {
             source,
             scenario: None,
             lookahead: None,
-            spec: config.spec,
-            thermal: config.thermal,
             stream_w_per_k: config.stream_w_per_k,
             profile: diskfleet::FleetPhaseProfile::default(),
         })
@@ -248,8 +242,6 @@ impl Twin {
     pub fn capture_state(&self) -> TwinState {
         TwinState {
             version: STATE_VERSION,
-            spec: self.spec.clone(),
-            thermal: self.thermal,
             stream_w_per_k: self.stream_w_per_k,
             fleet: self.fleet.capture_state(),
             source: self.source.capture_state(),
@@ -285,8 +277,6 @@ impl Twin {
             source,
             scenario: state.scenario,
             lookahead: state.lookahead,
-            spec: state.spec,
-            thermal: state.thermal,
             stream_w_per_k: state.stream_w_per_k,
             profile: diskfleet::FleetPhaseProfile::default(),
         })
@@ -305,7 +295,8 @@ impl Twin {
 
     // --- Perturbations (applied to forks) ---
 
-    /// Grows the rack by `extra` drives on the same serial airflow.
+    /// Grows the rack by `extra` drives, built from the fleet's own disk
+    /// and thermal specs, on the same serial airflow.
     ///
     /// # Errors
     ///
@@ -322,7 +313,7 @@ impl Twin {
         }
         let n = self.fleet.len() + extra as usize;
         let graph = AirflowGraph::serial(n, self.fleet.inlet(), self.stream_w_per_k)?;
-        self.fleet.add_enclosures(&self.spec, &self.thermal, graph)?;
+        self.fleet.add_enclosures(graph)?;
         Ok(())
     }
 

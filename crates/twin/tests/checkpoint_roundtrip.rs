@@ -213,17 +213,18 @@ fn corrupted_checkpoints_are_rejected_before_parsing() {
     ));
 
     // Any other version — future or past — is refused with a typed
-    // error before the JSON parser ever runs. The v2, v3 and v4 cases
-    // are the real migration hazards: a pre-v3 checkpoint carries a
-    // bare stream state where `source` now lives and no scenario
-    // schedule, a v3 checkpoint carries a sample reservoir where each
-    // enclosure's histogram now lives, and a v4 checkpoint lacks the
-    // sensor, energy and slack-ramp state, so all must fail loudly, not
-    // half-deserialize.
+    // error before the JSON parser ever runs. The v2 to v5 cases are the
+    // real migration hazards: a pre-v3 checkpoint carries a bare stream
+    // state where `source` now lives and no scenario schedule, a v3
+    // checkpoint carries a sample reservoir where each enclosure's
+    // histogram now lives, a v4 checkpoint lacks the sensor, energy and
+    // slack-ramp state, and a v5 checkpoint nests each bay's drive state
+    // and copies the thermal description into every bay, so all must
+    // fail loudly, not half-deserialize.
     let header_end = good.iter().position(|&b| b == b'\n').unwrap();
     let header = String::from_utf8(good[..header_end].to_vec()).unwrap();
     let current = format!(" {STATE_VERSION} ");
-    for old in [1u32, 2, 3, 4, 999] {
+    for old in [1u32, 2, 3, 4, 5, 999] {
         let bumped = header.replacen(&current, &format!(" {old} "), 1);
         assert_ne!(bumped, header, "the version field must be rewritten");
         let mut wrong_version = bumped.into_bytes();

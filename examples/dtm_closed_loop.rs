@@ -86,10 +86,7 @@ fn main() {
         "24,534 RPM, VCM+RPM throttle",
         24_534.0,
         FleetDtmPolicy::Throttle {
-            mechanism: ThrottlePolicy::VcmAndRpm {
-                high: Rpm::new(24_534.0),
-                low: Rpm::new(15_020.0),
-            },
+            speeds: Some((Rpm::new(24_534.0), Rpm::new(15_020.0))),
             guard: TempDelta::new(0.05),
             resume_margin: TempDelta::new(0.15),
         },

@@ -14,6 +14,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace"
+# Intra-doc links name types by path; a deleted or renamed item must
+# fail here instead of leaving a dangling link in the API docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo test --release -q -p serde --test float_oracle -- --ignored"
 # The float writer behind every JSON output (traces, checkpoints,
 # results/, BENCH_*.json) against the core::fmt rule it replaced, on
@@ -60,7 +65,7 @@ git diff --exit-code -- results/figure4.json results/figure4.txt
 echo "==> cargo run --release --bin lab -- run twin_whatif --no-cache"
 # The what-if fork outcomes carry p95/p99 and Figure 4 CDFs read off
 # the fleet's merged response-time histograms, and every fork restores
-# a version-5 checkpoint state, so this recompute (~0.3 s) also drives
+# a version-6 checkpoint state, so this recompute (~0.3 s) also drives
 # the checkpoint path end to end.
 cargo run --release --bin lab -- run twin_whatif --no-cache
 git diff --exit-code -- results/twin_whatif.json results/twin_whatif.txt

@@ -5,10 +5,12 @@
 //! alive across calls, so once the structures have grown to the
 //! workload's high-water mark, serving another window must not touch
 //! the heap at all. This test pins that property with a
-//! counting global allocator: warm a RAID-5 storage system and a
-//! thermally-coupled `WindowedDrive` through two simulated minutes,
-//! then assert that a long run of further windows performs **zero**
-//! heap allocations. A third subject pins the surrogate training
+//! counting global allocator: warm a RAID-5 storage system through two
+//! simulated minutes, then assert that a long run of further windows
+//! performs **zero** heap allocations. A second subject pins the
+//! fleet's untraced epoch — every bay's windows, thermal steps and
+//! folds, the airflow reduces and the coordinator — on a one-bay fleet
+//! and on a small hall to the same budget. A third subject pins the surrogate training
 //! sweep's per-point target reduction (`disklab::sweep::reduce_targets`)
 //! to the same budget, a fourth pins NDJSON trace recording: once its
 //! line buffer has held the longest line, `NdjsonRecorder` renders and
@@ -19,13 +21,13 @@
 //! and the test harness runs sibling tests on other threads, which
 //! would otherwise charge their allocations to this budget.
 
+use diskfleet::{AirflowGraph, Fleet, FleetConfig, FleetDtmPolicy, FleetPhaseProfile};
 use disksim::{Completion, DiskSpec, Request, RequestKind, StorageSystem, SystemConfig};
-use diskthermal::{DriveThermalSpec, ThermalModel};
-use dtm::{WindowSample, WindowedDrive};
+use diskthermal::DriveThermalSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use units::{Inches, Rpm, Seconds};
+use units::{Celsius, Inches, Rpm, Seconds, TempDelta};
 
 /// Forwards to the system allocator, counting every `alloc`/`realloc`.
 struct CountingAlloc;
@@ -76,7 +78,7 @@ fn trace(requests: u64, rate: f64, capacity: u64) -> Vec<Request> {
         .collect()
 }
 
-/// Control-window width shared by both subjects (the fleet default).
+/// Control-window width of the first subject (the fleet default).
 const WINDOW: f64 = 0.25;
 /// Warm-up windows: two minutes of simulated time. The queues and
 /// slabs grow to a *workload-dependent* high-water mark, and a long
@@ -138,56 +140,55 @@ fn steady_state_windows_allocate_nothing() {
         "RAID-5 window loop allocated {raid_allocs} times in steady state"
     );
 
-    // --- Subject 2: WindowedDrive (storage + thermal transient). ---
-    let sys = StorageSystem::new(SystemConfig::single_disk(spec)).expect("valid system");
-    let capacity = sys.logical_sectors();
-    let model = ThermalModel::new(DriveThermalSpec::new(Inches::new(2.6), 1));
-    let mut drive = WindowedDrive::new(sys, model);
-    let mut pending: VecDeque<Request> = trace(requests, rate, capacity).into();
-    let mut completions: Vec<Completion> = Vec::with_capacity(4_096);
-    let mut samples: Vec<WindowSample> = Vec::with_capacity(16);
-    let window = Seconds::new(WINDOW);
-    let windows_per_epoch = 4;
-
-    let warm_epochs = WARM_WINDOWS / windows_per_epoch;
-    for epoch in 0..warm_epochs {
-        completions.clear();
-        drive
-            .serve_epoch(
-                &mut pending,
-                false,
-                epoch * windows_per_epoch,
-                windows_per_epoch as usize,
-                window,
-                &mut completions,
-                &mut samples,
-            )
-            .expect("trace is in range");
+    // --- Subject 2: the fleet's untraced epoch. ---
+    // A one-bay fleet runs the flat-graph airflow reduce, a hall of two
+    // rows of two 4-drive racks the per-rack reduces; both under speed
+    // scaling, as the hall experiments run. Every epoch buffer is kept
+    // across epochs, so once the queues, slabs and histograms have
+    // reached the workload's high-water mark, an epoch allocates
+    // nothing. A bay's response-time histogram grows its bucket span
+    // whenever a response lands outside every earlier one, so the warm-up
+    // runs eight simulated minutes: after four, the hall's bays still
+    // widened their spans three times in the next 40 epochs. The whole
+    // stream is offered up front.
+    let thermal = DriveThermalSpec::new(Inches::new(2.6), 1);
+    let one_bay = FleetConfig::serial(1, spec.clone(), thermal, 10.0).expect("one bay");
+    let mut hall = FleetConfig::serial(16, spec.clone(), thermal, 10.0).expect("16 bays");
+    hall.airflow =
+        AirflowGraph::hall(16, 4, 2, thermal.ambient(), 0.05, 0.01, 0.004).expect("valid hall");
+    let warm_epochs = 480;
+    let measured_epochs = MEASURED_WINDOWS;
+    for (label, mut config) in [("one-bay fleet", one_bay), ("hall", hall)] {
+        config.dtm = FleetDtmPolicy::SpeedScale {
+            high: Rpm::new(15_020.0),
+            low: Rpm::new(12_000.0),
+            guard: TempDelta::new(0.3),
+            resume_margin: TempDelta::new(0.3),
+        };
+        let bays = config.airflow.len() as f64;
+        let mut fleet = Fleet::new(config).expect("valid fleet");
+        let span = (warm_epochs + measured_epochs + 2) as f64 * fleet.epoch_len().get();
+        let fleet_rate = rate * bays;
+        fleet.offer(trace((span * fleet_rate) as u64, fleet_rate, capacity));
+        let mut sink = diskobs::Sink::null();
+        let mut profile = FleetPhaseProfile::default();
+        for _ in 0..warm_epochs {
+            fleet.step_epoch(&mut sink, &mut profile);
+        }
+        let before = allocations();
+        for _ in 0..measured_epochs {
+            fleet.step_epoch(&mut sink, &mut profile);
+        }
+        let fleet_allocs = allocations() - before;
+        assert_eq!(
+            fleet_allocs, 0,
+            "{label}: untraced Fleet::step_epoch allocated {fleet_allocs} times in steady state"
+        );
+        assert!(
+            fleet.peak_air() > Celsius::new(28.0),
+            "{label}: the served load heats the drives"
+        );
     }
-    let before = allocations();
-    for epoch in warm_epochs..warm_epochs + MEASURED_WINDOWS / windows_per_epoch {
-        completions.clear();
-        drive
-            .serve_epoch(
-                &mut pending,
-                false,
-                epoch * windows_per_epoch,
-                windows_per_epoch as usize,
-                window,
-                &mut completions,
-                &mut samples,
-            )
-            .expect("trace is in range");
-    }
-    let dtm_allocs = allocations() - before;
-    assert_eq!(
-        dtm_allocs, 0,
-        "WindowedDrive epoch loop allocated {dtm_allocs} times in steady state"
-    );
-    assert!(
-        drive.in_flight() < u64::MAX,
-        "keep the drive alive past the measurement"
-    );
 
     // --- Subject 3: the capacity sweep's per-point target reduction. ---
     // The surrogate training sweep reduces every fleet report to its

@@ -138,10 +138,7 @@ fn closed_loop_throttling_respects_envelope_and_completes_work() {
         .collect();
 
     let policy = FleetDtmPolicy::Throttle {
-        mechanism: ThrottlePolicy::VcmAndRpm {
-            high: Rpm::new(24_534.0),
-            low: Rpm::new(15_020.0),
-        },
+        speeds: Some((Rpm::new(24_534.0), Rpm::new(15_020.0))),
         guard: TempDelta::new(0.05),
         resume_margin: TempDelta::new(0.15),
     };
@@ -229,7 +226,7 @@ fn one_bay_fleet_reproduces_the_single_drive_controller() {
             "VCM-only throttle",
             24_534.0,
             FleetDtmPolicy::Throttle {
-                mechanism: ThrottlePolicy::VcmOnly { rpm: Rpm::new(24_534.0) },
+                speeds: None,
                 guard: TempDelta::new(0.1),
                 resume_margin: TempDelta::new(0.2),
             },
@@ -247,10 +244,7 @@ fn one_bay_fleet_reproduces_the_single_drive_controller() {
             "VCM+RPM throttle",
             24_534.0,
             FleetDtmPolicy::Throttle {
-                mechanism: ThrottlePolicy::VcmAndRpm {
-                    high: Rpm::new(24_534.0),
-                    low: Rpm::new(15_020.0),
-                },
+                speeds: Some((Rpm::new(24_534.0), Rpm::new(15_020.0))),
                 guard: TempDelta::new(0.3),
                 resume_margin: TempDelta::new(0.2),
             },
