@@ -79,21 +79,9 @@ impl DiskSpec {
         Self::new(geometry, rpm)
     }
 
-    /// Replaces the spindle speed (the Figure 4 sweep variable).
-    pub fn with_rpm(mut self, rpm: Rpm) -> Self {
-        self.rpm = rpm;
-        self
-    }
-
     /// Replaces the cache configuration.
     pub fn with_cache(mut self, cache: CacheConfig) -> Self {
         self.cache = cache;
-        self
-    }
-
-    /// Replaces the seek profile.
-    pub fn with_seek(mut self, seek: SeekProfile) -> Self {
-        self.seek = seek;
         self
     }
 
@@ -102,7 +90,8 @@ impl DiskSpec {
         &self.geometry
     }
 
-    /// The spindle speed.
+    /// The design spindle speed: the speed a storage system of this disk
+    /// starts at.
     pub fn rpm(&self) -> Rpm {
         self.rpm
     }
@@ -110,6 +99,41 @@ impl DiskSpec {
     /// The seek profile.
     pub fn seek(&self) -> &SeekProfile {
         &self.seek
+    }
+
+    /// Checks a spec read back from outside the program, such as a
+    /// checkpoint: what the event core divides by or charges to every
+    /// request (speed, seek times, controller overhead, bus rate, cache
+    /// segments) must be positive and finite, and the geometry must be
+    /// the one its own platter, recording technology, platter count and
+    /// zone count build (the zone table and LBA map are derived, so any
+    /// other value is corrupt).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadConfig`] or, when the parameters build no geometry
+    /// at all, [`SimError::Geometry`].
+    pub fn validate(&self) -> Result<(), SimError> {
+        let rates = [
+            ("spindle speed", self.rpm.get()),
+            ("track-to-track seek time", self.seek.track_to_track().get()),
+            ("average seek time", self.seek.average().get()),
+            ("full-stroke seek time", self.seek.full_stroke().get()),
+            ("controller overhead", self.controller_overhead.get()),
+            ("bus rate", self.bus_bytes_per_sec),
+            ("cache segment count", self.cache.segments as f64),
+        ];
+        if let Some((name, x)) = rates.iter().find(|(_, x)| !(x.is_finite() && *x > 0.0)) {
+            let msg = format!("disk {name} must be positive and finite, got {x}");
+            return Err(SimError::BadConfig(msg));
+        }
+        let g = &self.geometry;
+        let (platter, tech) = (*g.platter(), *g.tech());
+        if DriveGeometry::new(platter, tech, g.platters(), g.zones().zone_count())? != *g {
+            let msg = "disk geometry differs from the one its parameters build";
+            return Err(SimError::BadConfig(msg.into()));
+        }
+        Ok(())
     }
 }
 
@@ -137,10 +161,11 @@ impl ServiceBreakdown {
     }
 }
 
-/// Mechanical state of one disk during simulation.
+/// Mechanical state of one disk during simulation: its cache, head
+/// position and activity counters. Its [`DiskSpec`] and spindle speed
+/// belong to the storage system, held once for every member.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Disk {
-    spec: DiskSpec,
     cache: DiskCache,
     head_cylinder: u32,
     /// Accumulated busy time (for utilization and DTM duty estimation).
@@ -156,12 +181,11 @@ pub struct Disk {
 }
 
 impl Disk {
-    /// Creates a disk with the head parked at cylinder 0.
-    pub fn new(spec: DiskSpec) -> Self {
-        let cache = DiskCache::new(spec.cache);
+    /// Creates a `spec` disk with an empty cache and the head parked at
+    /// cylinder 0.
+    pub fn new(spec: &DiskSpec) -> Self {
         Self {
-            spec,
-            cache,
+            cache: DiskCache::new(spec.cache),
             head_cylinder: 0,
             busy_time: Seconds::ZERO,
             seek_time: Seconds::ZERO,
@@ -169,18 +193,6 @@ impl Disk {
             moved_arm: 0,
             total_seek_distance: 0,
         }
-    }
-
-    /// The disk's specification.
-    pub fn spec(&self) -> &DiskSpec {
-        &self.spec
-    }
-
-    /// Changes the spindle speed in place (multi-speed disks; used by
-    /// the DTM throttling policies). The cache survives, the mechanical
-    /// position is kept.
-    pub fn set_rpm(&mut self, rpm: Rpm) {
-        self.spec.rpm = rpm;
     }
 
     /// Current cylinder under the heads.
@@ -228,55 +240,30 @@ impl Disk {
         &self.cache
     }
 
-    /// Serves a request beginning at `start`, returning when it finishes
-    /// and where the time went.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::OutOfRange`] when the request runs past the end of
-    /// the medium.
-    pub fn service(
+    /// Serves a request beginning at `start` on this `spec` disk spinning
+    /// at `rpm`, returning when it finishes and where the time went. The
+    /// request's range is already checked and its start
+    /// [`Location`](diskgeom::Location) resolved: the queueing layer
+    /// does both once, at submit and enqueue (it needs the cylinder for
+    /// scheduling anyway), so service never re-runs the zone-table
+    /// lookup.
+    #[allow(clippy::too_many_arguments)] // the disk, its speed, then the request
+    pub(crate) fn service(
         &mut self,
-        lba: u64,
-        sectors: u32,
-        kind: RequestKind,
-        start: Seconds,
-    ) -> Result<(Seconds, ServiceBreakdown), SimError> {
-        let total = self.spec.geometry.total_sectors().get();
-        if lba + sectors as u64 > total {
-            return Err(SimError::OutOfRange {
-                lba,
-                sectors,
-                capacity: total,
-            });
-        }
-        let loc = self
-            .spec
-            .geometry
-            .locate(lba)
-            .expect("range checked above");
-        Ok(self.service_located(loc, lba, sectors, kind, start))
-    }
-
-    /// Serves a request whose start [`Location`](diskgeom::Location) is
-    /// already resolved and whose range is already checked — the queueing
-    /// layer resolves every physical request once at enqueue (it needs
-    /// the cylinder for scheduling anyway), so the hot path never re-runs
-    /// the zone-table lookup. Identical results to [`Self::service`].
-    pub fn service_located(
-        &mut self,
+        spec: &DiskSpec,
+        rpm: Rpm,
         loc: diskgeom::Location,
         lba: u64,
         sectors: u32,
         kind: RequestKind,
         start: Seconds,
     ) -> (Seconds, ServiceBreakdown) {
-        let overhead = self.spec.controller_overhead;
+        let overhead = spec.controller_overhead;
         self.served += 1;
 
         // Cache: reads served from a segment never touch the medium.
         if kind.is_read() && self.cache.lookup(lba, sectors) == CacheOutcome::Hit {
-            let bus = Seconds::new(sectors as f64 * 512.0 / self.spec.bus_bytes_per_sec);
+            let bus = Seconds::new(sectors as f64 * 512.0 / spec.bus_bytes_per_sec);
             let breakdown = ServiceBreakdown {
                 overhead,
                 transfer: bus,
@@ -293,13 +280,13 @@ impl Disk {
             let _ = self.cache.lookup(lba, sectors);
         }
 
-        let zone = &self.spec.geometry.zones().zones()[loc.zone as usize];
+        let zone = &spec.geometry.zones().zones()[loc.zone as usize];
         let spt = zone.sectors_per_track().get();
-        let period = self.spec.rpm.rotation_period();
+        let period = rpm.rotation_period();
 
         // Seek.
         let distance = self.head_cylinder.abs_diff(loc.cylinder);
-        let seek = self.spec.seek.seek_time(distance);
+        let seek = spec.seek.seek_time(distance);
         if distance > 0 {
             self.moved_arm += 1;
             self.total_seek_distance += distance as u64;
@@ -327,7 +314,7 @@ impl Disk {
         // time the run crosses a track boundary.
         let track_crossings = (loc.sector as u64 + sectors as u64 - 1) / spt;
         let transfer = period * (sectors as f64 / spt as f64)
-            + self.spec.seek.track_to_track() * track_crossings as f64;
+            + spec.seek.track_to_track() * track_crossings as f64;
 
         // Read-ahead: the drive keeps reading to the end of the track
         // after a medium read; the tail lands in the cache for free.
@@ -348,17 +335,15 @@ impl Disk {
         // from `loc` with one division; only zone-crossing runs re-run
         // the full lookup. Same value either way.
         let last_lba = lba + sectors as u64 - 1;
-        let (zone_start, zone_end) = self
-            .spec
+        let (zone_start, zone_end) = spec
             .geometry
             .zone_lba_range(loc.zone)
             .expect("located zone exists");
         self.head_cylinder = if last_lba < zone_end {
-            let per_cylinder = spt * self.spec.geometry.surfaces() as u64;
+            let per_cylinder = spt * spec.geometry.surfaces() as u64;
             zone.first_cylinder() + ((last_lba - zone_start) / per_cylinder) as u32
         } else {
-            self.spec
-                .geometry
+            spec.geometry
                 .locate(last_lba)
                 .expect("range checked above")
                 .cylinder
@@ -381,21 +366,41 @@ impl Disk {
 mod tests {
     use super::*;
 
-    fn disk(rpm: f64) -> Disk {
-        Disk::new(DiskSpec::era_2001(Rpm::new(rpm)))
+    const RPM: Rpm = Rpm::new(10_000.0);
+
+    fn spec() -> DiskSpec {
+        DiskSpec::era_2001(RPM)
+    }
+
+    /// Serves `sectors` at `lba` on `d`, a `spec()` disk at `rpm`.
+    fn serve(
+        d: &mut Disk,
+        rpm: Rpm,
+        lba: u64,
+        sectors: u32,
+        kind: RequestKind,
+        start: Seconds,
+    ) -> (Seconds, ServiceBreakdown) {
+        let spec = spec();
+        let loc = spec.geometry().locate(lba).expect("in range");
+        d.service(&spec, rpm, loc, lba, sectors, kind, start)
+    }
+
+    /// Reads `sectors` at `lba` from `d` at 10,000 RPM.
+    fn read(d: &mut Disk, lba: u64, sectors: u32, start: Seconds) -> (Seconds, ServiceBreakdown) {
+        serve(d, RPM, lba, sectors, RequestKind::Read, start)
     }
 
     #[test]
     fn era_2001_capacity_is_plausible() {
-        let d = disk(10_000.0);
-        let gb = d.spec().geometry().capacity().gigabytes();
+        let gb = spec().geometry().capacity().gigabytes();
         assert!(gb > 15.0 && gb < 60.0, "got {gb:.1} GB");
     }
 
     #[test]
     fn first_request_pays_rotation_but_no_seek() {
-        let mut d = disk(10_000.0);
-        let (_, b) = d.service(0, 8, RequestKind::Read, Seconds::ZERO).unwrap();
+        let mut d = Disk::new(&spec());
+        let (_, b) = read(&mut d, 0, 8, Seconds::ZERO);
         assert_eq!(b.seek, Seconds::ZERO, "head starts at cylinder 0");
         assert!(b.rotation.get() >= 0.0);
         assert!(b.transfer.get() > 0.0);
@@ -404,9 +409,9 @@ mod tests {
 
     #[test]
     fn sequential_read_hits_readahead_cache() {
-        let mut d = disk(10_000.0);
-        let (t1, b1) = d.service(0, 8, RequestKind::Read, Seconds::ZERO).unwrap();
-        let (_, b2) = d.service(8, 8, RequestKind::Read, t1).unwrap();
+        let mut d = Disk::new(&spec());
+        let (t1, b1) = read(&mut d, 0, 8, Seconds::ZERO);
+        let (_, b2) = read(&mut d, 8, 8, t1);
         assert!(!b1.cache_hit);
         assert!(b2.cache_hit, "read-ahead should catch the next sectors");
         assert!(b2.total() < b1.total() / 5.0);
@@ -414,12 +419,10 @@ mod tests {
 
     #[test]
     fn far_seek_costs_more_than_near_seek() {
-        let total = disk(10_000.0).spec().geometry().total_sectors().get();
-        let mut d = disk(10_000.0);
-        let (_, near) = d.service(0, 8, RequestKind::Read, Seconds::ZERO).unwrap();
-        let (_, far) = d
-            .service(total - 16, 8, RequestKind::Read, Seconds::new(1.0))
-            .unwrap();
+        let total = spec().geometry().total_sectors().get();
+        let mut d = Disk::new(&spec());
+        let (_, near) = read(&mut d, 0, 8, Seconds::ZERO);
+        let (_, far) = read(&mut d, total - 16, 8, Seconds::new(1.0));
         assert!(far.seek > near.seek);
         assert!(far.seek_distance > 10_000);
     }
@@ -427,10 +430,19 @@ mod tests {
     #[test]
     fn faster_spindle_cuts_rotation_and_transfer() {
         // Compare expected rotational latency + transfer across RPMs.
-        let mut slow = disk(10_000.0);
-        let mut fast = disk(20_000.0);
-        let (_, b_slow) = slow.service(0, 64, RequestKind::Read, Seconds::ZERO).unwrap();
-        let (_, b_fast) = fast.service(0, 64, RequestKind::Read, Seconds::ZERO).unwrap();
+        let at = |rpm: f64| {
+            let mut d = Disk::new(&spec());
+            serve(
+                &mut d,
+                Rpm::new(rpm),
+                0,
+                64,
+                RequestKind::Read,
+                Seconds::ZERO,
+            )
+            .1
+        };
+        let (b_slow, b_fast) = (at(10_000.0), at(20_000.0));
         assert!(
             b_fast.transfer.get() < b_slow.transfer.get() * 0.6,
             "transfer should halve: {} vs {}",
@@ -441,31 +453,32 @@ mod tests {
 
     #[test]
     fn writes_pay_medium_but_populate_cache() {
-        let mut d = disk(10_000.0);
-        let (t1, w) = d.service(100, 8, RequestKind::Write, Seconds::ZERO).unwrap();
+        let mut d = Disk::new(&spec());
+        let (t1, w) = serve(&mut d, RPM, 100, 8, RequestKind::Write, Seconds::ZERO);
         assert!(!w.cache_hit, "write-through pays the medium");
-        let (_, r) = d.service(100, 8, RequestKind::Read, t1).unwrap();
+        let (_, r) = read(&mut d, 100, 8, t1);
         assert!(r.cache_hit, "read-after-write hits");
     }
 
     #[test]
     fn out_of_range_is_an_error() {
-        let mut d = disk(10_000.0);
-        let total = d.spec().geometry().total_sectors().get();
-        let err = d
-            .service(total - 4, 8, RequestKind::Read, Seconds::ZERO)
-            .unwrap_err();
+        // A disk serves located requests only: one that runs past the
+        // medium is refused at submit, before any disk sees it.
+        let total = spec().geometry().total_sectors().get();
+        let mut sys = crate::StorageSystem::new(crate::SystemConfig::single_disk(spec())).unwrap();
+        let past_the_end =
+            crate::Request::new(0, Seconds::ZERO, 0, total - 4, 8, RequestKind::Read);
+        let err = sys.submit(past_the_end).unwrap_err();
         assert!(matches!(err, SimError::OutOfRange { .. }));
+        assert!(spec().geometry().locate(total).is_none());
     }
 
     #[test]
     fn activity_counters_accumulate() {
-        let mut d = disk(10_000.0);
+        let mut d = Disk::new(&spec());
         let mut t = Seconds::ZERO;
         for i in 0..10u64 {
-            let (f, _) = d
-                .service(i * 1_000_000 % 20_000_000, 8, RequestKind::Read, t)
-                .unwrap();
+            let (f, _) = read(&mut d, i * 1_000_000 % 20_000_000, 8, t);
             t = f;
         }
         assert_eq!(d.served(), 10);
@@ -477,27 +490,87 @@ mod tests {
 
     #[test]
     fn rpm_change_preserves_state() {
-        let mut d = disk(10_000.0);
-        let (t1, _) = d.service(5_000_000, 8, RequestKind::Read, Seconds::ZERO).unwrap();
+        // The speed is the system's, not the disk's: serving the next
+        // request at another speed keeps the head where it was.
+        let mut d = Disk::new(&spec());
+        let (t1, _) = read(&mut d, 5_000_000, 8, Seconds::ZERO);
         let cyl = d.head_cylinder();
-        d.set_rpm(Rpm::new(20_000.0));
-        assert_eq!(d.head_cylinder(), cyl);
-        let (_, b) = d.service(5_000_100, 8, RequestKind::Read, t1).unwrap();
+        let (_, b) = serve(
+            &mut d,
+            Rpm::new(20_000.0),
+            5_000_100,
+            8,
+            RequestKind::Read,
+            t1,
+        );
         // Still near the same cylinder: tiny seek.
         assert!(b.seek_distance < 10, "distance {}", b.seek_distance);
+        assert!(d.head_cylinder().abs_diff(cyl) < 10);
     }
 
     #[test]
     fn rotational_wait_is_bounded_by_one_revolution() {
-        let mut d = disk(10_000.0);
-        let period = Rpm::new(10_000.0).rotation_period();
+        let mut d = Disk::new(&spec());
+        let period = RPM.rotation_period();
         for i in 0..50u64 {
-            let (_, b) = d
-                .service((i * 777_777) % 10_000_000, 4, RequestKind::Read, Seconds::new(i as f64))
-                .unwrap();
+            let (_, b) = read(
+                &mut d,
+                (i * 777_777) % 10_000_000,
+                4,
+                Seconds::new(i as f64),
+            );
             if !b.cache_hit {
-                assert!(b.rotation <= period, "wait {} > period", b.rotation.to_millis());
+                assert!(
+                    b.rotation <= period,
+                    "wait {} > period",
+                    b.rotation.to_millis()
+                );
             }
         }
+    }
+
+    #[test]
+    fn a_spec_validates_until_a_rate_or_its_geometry_is_corrupted() {
+        let good = spec();
+        assert_eq!(good.validate(), Ok(()));
+        let corrupt = |edit: &dyn Fn(&mut serde::Map)| {
+            let mut v = serde::Serialize::to_value(&good);
+            edit(v.as_object_mut().unwrap());
+            <DiskSpec as serde::Deserialize>::from_value(&v)
+                .unwrap()
+                .validate()
+        };
+        let number = |x: f64| serde::Value::Number(serde::Number::Float(x));
+        for x in [-1.0, 0.0, f64::INFINITY] {
+            assert!(corrupt(&|m| {
+                m.insert("rpm", number(x));
+            })
+            .is_err());
+            assert!(corrupt(&|m| {
+                m.insert("bus_bytes_per_sec", number(x));
+            })
+            .is_err());
+        }
+        // One fewer sector on the last zone boundary: the LBA map no
+        // longer matches the zone table it is derived from.
+        let err = corrupt(&|m| {
+            let mut geometry = m.get("geometry").unwrap().clone();
+            let g = geometry.as_object_mut().unwrap();
+            let mut starts = g
+                .get("zone_lba_starts")
+                .unwrap()
+                .as_array()
+                .unwrap()
+                .clone();
+            let last = starts.pop().unwrap().as_u64().unwrap();
+            starts.push(serde::Value::Number(serde::Number::UInt(last - 1)));
+            g.insert("zone_lba_starts", serde::Value::Array(starts));
+            m.insert("geometry", geometry);
+        })
+        .unwrap_err();
+        assert!(
+            matches!(err, SimError::BadConfig(ref msg) if msg.contains("geometry")),
+            "{err}"
+        );
     }
 }

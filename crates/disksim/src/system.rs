@@ -3,10 +3,11 @@
 use crate::calendar::{ArrivalQueue, TimeKey};
 use crate::disk::{Disk, DiskSpec};
 use crate::error::SimError;
-use crate::raid::{PhysOp, RaidConfig};
+use crate::raid::{PhysOp, RaidConfig, RaidLevel};
 use crate::request::{Completion, Request, RequestKind};
 use serde::{Deserialize, Serialize};
-use units::Seconds;
+use std::sync::Arc;
+use units::{Rpm, Seconds};
 
 /// Queue-dispatch policy at each disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -21,7 +22,9 @@ pub enum Scheduler {
     Elevator,
 }
 
-/// Configuration of a whole storage system.
+/// Configuration of a whole storage system: `disks` identical members,
+/// every one a `spec` disk. The spec is shared, so an owner that builds
+/// many systems of one disk holds it once.
 ///
 /// # Examples
 ///
@@ -31,13 +34,15 @@ pub enum Scheduler {
 ///
 /// // The paper's RAID-5 systems: stripe of 16 512-byte blocks.
 /// let cfg = SystemConfig::raid5(DiskSpec::era_2001(Rpm::new(10_000.0)), 8, 16)?;
-/// assert_eq!(cfg.disks.len(), 8);
+/// assert_eq!(cfg.disks, 8);
 /// # Ok::<(), disksim::SimError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
-    /// Member disk specifications.
-    pub disks: Vec<DiskSpec>,
+    /// The disk every member is.
+    pub spec: Arc<DiskSpec>,
+    /// Member disks.
+    pub disks: u32,
     /// Optional striping layer over the members.
     pub raid: Option<RaidConfig>,
     /// Dispatch policy.
@@ -46,49 +51,48 @@ pub struct SystemConfig {
 
 impl SystemConfig {
     /// One stand-alone disk.
-    pub fn single_disk(spec: DiskSpec) -> Self {
-        Self {
-            disks: vec![spec],
-            raid: None,
-            scheduler: Scheduler::default(),
-        }
+    pub fn single_disk(spec: impl Into<Arc<DiskSpec>>) -> Self {
+        Self::jbod(spec, 1)
     }
 
     /// `n` independent disks (no striping): requests address each disk
     /// by its device index.
-    pub fn jbod(spec: DiskSpec, n: u32) -> Self {
+    pub fn jbod(spec: impl Into<Arc<DiskSpec>>, n: u32) -> Self {
         Self {
-            disks: vec![spec; n as usize],
+            spec: spec.into(),
+            disks: n,
             raid: None,
             scheduler: Scheduler::default(),
         }
     }
 
-    /// `n` identical disks striped as RAID-5.
+    /// `n` identical disks striped as RAID-5 in units of `stripe`
+    /// sectors.
     ///
     /// # Errors
     ///
     /// Propagates [`SimError::BadConfig`] for fewer than three disks or
     /// a zero stripe.
-    pub fn raid5(spec: DiskSpec, n: u32, stripe_sectors: u32) -> Result<Self, SimError> {
+    pub fn raid5(spec: impl Into<Arc<DiskSpec>>, n: u32, stripe: u32) -> Result<Self, SimError> {
+        let raid = Some(RaidConfig::new(RaidLevel::Raid5, n, stripe)?);
         Ok(Self {
-            disks: vec![spec; n as usize],
-            raid: Some(RaidConfig::new(crate::raid::RaidLevel::Raid5, n, stripe_sectors)?),
-            scheduler: Scheduler::default(),
+            raid,
+            ..Self::jbod(spec, n)
         })
     }
 
-    /// `n` identical disks striped as RAID-0.
+    /// `n` identical disks striped as RAID-0 in units of `stripe`
+    /// sectors.
     ///
     /// # Errors
     ///
     /// Propagates [`SimError::BadConfig`] for fewer than two disks or a
     /// zero stripe.
-    pub fn raid0(spec: DiskSpec, n: u32, stripe_sectors: u32) -> Result<Self, SimError> {
+    pub fn raid0(spec: impl Into<Arc<DiskSpec>>, n: u32, stripe: u32) -> Result<Self, SimError> {
+        let raid = Some(RaidConfig::new(RaidLevel::Raid0, n, stripe)?);
         Ok(Self {
-            disks: vec![spec; n as usize],
-            raid: Some(RaidConfig::new(crate::raid::RaidLevel::Raid0, n, stripe_sectors)?),
-            scheduler: Scheduler::default(),
+            raid,
+            ..Self::jbod(spec, n)
         })
     }
 
@@ -105,6 +109,29 @@ impl SystemConfig {
             self.raid = Some(raid.with_write_back(write_back));
         }
         self
+    }
+
+    /// [`StorageSystem::logical_sectors`] without building the system,
+    /// after the checks every construction and restore runs.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadConfig`] when there are no members or the RAID
+    /// layout disagrees with the member count.
+    pub fn logical_sectors(&self) -> Result<u64, SimError> {
+        if self.disks == 0 {
+            return Err(SimError::BadConfig("no disks".into()));
+        }
+        let per_disk = self.spec.geometry().total_sectors().get();
+        match &self.raid {
+            Some(raid) if raid.disks() != self.disks => Err(SimError::BadConfig(format!(
+                "raid expects {} disks, {} configured",
+                raid.disks(),
+                self.disks
+            ))),
+            Some(raid) => Ok(raid.logical_sectors(per_disk)),
+            None => Ok(per_disk),
+        }
     }
 }
 
@@ -170,9 +197,12 @@ impl DiskQueue {
 /// is what the DTM policies use to interleave thermal decisions with I/O.
 #[derive(Debug)]
 pub struct StorageSystem {
+    /// The members' shared spec, their count, the RAID layout and the
+    /// scheduler, as built.
+    config: SystemConfig,
+    /// The spindle speed every member runs at.
+    rpm: Rpm,
     disks: Vec<Disk>,
-    scheduler: Scheduler,
-    raid: Option<RaidConfig>,
     logical_sectors: u64,
     /// Pending arrivals, ordered by (arrival time, submission sequence).
     arrivals: ArrivalQueue<Request>,
@@ -201,42 +231,19 @@ pub struct StorageSystem {
 }
 
 impl StorageSystem {
-    /// Assembles a system.
+    /// Assembles a system whose members all spin at the spec's speed.
     ///
     /// # Errors
     ///
     /// [`SimError::BadConfig`] when the RAID layout disagrees with the
-    /// member count or the members differ in capacity.
+    /// member count or there are no members.
     pub fn new(config: SystemConfig) -> Result<Self, SimError> {
-        if config.disks.is_empty() {
-            return Err(SimError::BadConfig("no disks".into()));
-        }
-        let per_disk = config.disks[0].geometry().total_sectors().get();
-        if let Some(raid) = &config.raid {
-            if raid.disks() as usize != config.disks.len() {
-                return Err(SimError::BadConfig(format!(
-                    "raid expects {} disks, {} configured",
-                    raid.disks(),
-                    config.disks.len()
-                )));
-            }
-            for d in &config.disks {
-                if d.geometry().total_sectors().get() != per_disk {
-                    return Err(SimError::BadConfig(
-                        "raid members must have equal capacity".into(),
-                    ));
-                }
-            }
-        }
-        let logical_sectors = match &config.raid {
-            Some(raid) => raid.logical_sectors(per_disk),
-            None => per_disk,
-        };
-        let n = config.disks.len();
+        let logical_sectors = config.logical_sectors()?;
+        let n = config.disks as usize;
         Ok(Self {
-            disks: config.disks.into_iter().map(Disk::new).collect(),
-            scheduler: config.scheduler,
-            raid: config.raid,
+            disks: (0..n).map(|_| Disk::new(&config.spec)).collect(),
+            rpm: config.spec.rpm(),
+            config,
             logical_sectors,
             arrivals: ArrivalQueue::new(),
             slots: Vec::new(),
@@ -269,8 +276,8 @@ impl StorageSystem {
     /// [`SimError::AlreadyDegraded`] when a member is already failed
     /// (RAID-5 survives exactly one loss).
     pub fn fail_disk(&mut self, disk: u32) -> Result<(), SimError> {
-        match &self.raid {
-            Some(raid) if matches!(raid.level(), crate::raid::RaidLevel::Raid5) => {
+        match &self.config.raid {
+            Some(raid) if matches!(raid.level(), RaidLevel::Raid5) => {
                 if disk >= raid.disks() {
                     return Err(SimError::NoSuchDevice {
                         device: disk,
@@ -311,9 +318,25 @@ impl StorageSystem {
         &self.disks
     }
 
-    /// Mutable access to the member disks (multi-speed DTM control).
-    pub fn disks_mut(&mut self) -> &mut [Disk] {
-        &mut self.disks
+    /// The spindle speed every member runs at.
+    pub fn rpm(&self) -> Rpm {
+        self.rpm
+    }
+
+    /// Sets the spindle speed every member runs at (multi-speed DTM
+    /// control), emitting one `RpmTransition` into the trace sink when
+    /// it changes. Caches and head positions are kept.
+    pub fn set_rpm(&mut self, rpm: Rpm) {
+        let from = std::mem::replace(&mut self.rpm, rpm);
+        if from != rpm {
+            let drive = self.sink.scope();
+            self.sink
+                .emit(self.clock, || diskobs::Event::RpmTransition {
+                    drive,
+                    from: from.get(),
+                    to: rpm.get(),
+                });
+        }
     }
 
     /// Current simulated time.
@@ -328,21 +351,9 @@ impl StorageSystem {
         self.sink = sink;
     }
 
-    /// The trace sink, for emitting events that need the system's
-    /// sim clock (e.g. RPM transitions applied by a DTM actuator).
-    pub fn sink_mut(&mut self) -> &mut diskobs::Sink {
-        &mut self.sink
-    }
-
-    /// Takes this system's buffered trace events (empty unless a buffer
-    /// sink is installed).
-    pub fn drain_events(&mut self) -> Vec<diskobs::TimedEvent> {
-        self.sink.drain()
-    }
-
-    /// Like [`Self::drain_events`], but appends into `out` — epoch
-    /// merge loops reuse one batch buffer instead of allocating a
-    /// fresh `Vec` per drive per epoch.
+    /// Appends this system's buffered trace events to `out` (none unless
+    /// a buffer sink is installed); epoch merge loops reuse one batch
+    /// buffer across drives and epochs.
     pub fn drain_events_into(&mut self, out: &mut Vec<diskobs::TimedEvent>) {
         self.sink.drain_into(out);
     }
@@ -360,7 +371,7 @@ impl StorageSystem {
     /// [`SimError::NoSuchDevice`] / [`SimError::OutOfRange`] when the
     /// request does not fit the system.
     pub fn submit(&mut self, request: Request) -> Result<(), SimError> {
-        if self.raid.is_some() {
+        if self.config.raid.is_some() {
             if request.device != 0 {
                 return Err(SimError::NoSuchDevice {
                     device: request.device,
@@ -487,7 +498,7 @@ impl StorageSystem {
         // freeing `self` for the enqueue/dispatch calls below.
         let mut ops = std::mem::take(&mut self.op_scratch);
         ops.clear();
-        match &self.raid {
+        match &self.config.raid {
             Some(raid) => raid.map_degraded_into(
                 request.lba,
                 request.sectors,
@@ -599,8 +610,9 @@ impl StorageSystem {
     /// Appends `phys` to disk `d`'s queue (slab slot linked at the
     /// tail, so list order is arrival order).
     fn enqueue(&mut self, d: usize, phys: PhysRequest) {
-        let loc = self.disks[d]
-            .spec()
+        let loc = self
+            .config
+            .spec
             .geometry()
             .locate(phys.lba)
             .expect("physical requests are range-checked at submit");
@@ -656,8 +668,15 @@ impl StorageSystem {
         let QueueSlot { phys, loc, .. } = self.slots[slot as usize];
         self.unlink(d, slot);
         let start = self.clock;
-        let (finish, _breakdown) =
-            self.disks[d].service_located(loc, phys.lba, phys.sectors, phys.kind, start);
+        let (finish, _breakdown) = self.disks[d].service(
+            &self.config.spec,
+            self.rpm,
+            loc,
+            phys.lba,
+            phys.sectors,
+            phys.kind,
+            start,
+        );
         if phys.gates_completion {
             // Deferred parity work can outlive its parent; only gating
             // operations contribute to the parent's service window.
@@ -676,7 +695,7 @@ impl StorageSystem {
         if queue.len == 1 {
             return queue.head;
         }
-        match self.scheduler {
+        match self.config.scheduler {
             Scheduler::Fcfs => queue.head,
             Scheduler::Sstf => {
                 let head = self.disks[d].head_cylinder();
@@ -731,14 +750,16 @@ impl StorageSystem {
 
 /// Complete dynamic state of a [`StorageSystem`], captured for
 /// checkpointing. Covers every field the event loop reads — disks
-/// (mechanical position, cache, activity counters), the arrival
-/// queue (as its sorted entry list, including each entry's
+/// (mechanical position, cache, activity counters), the spindle speed,
+/// the arrival queue (as its sorted entry list, including each entry's
 /// submission-sequence tie-breaker), the queued-request slab with its
 /// free list, per-disk intrusive queues, in-service operations, the
-/// parent slab and free list, and the scalar counters. The trace sink
-/// and the two scratch buffers are excluded: the sink is an
-/// observation channel re-attached by the owner, and the scratches are
-/// empty between events.
+/// parent slab and free list, the failed member and the scalar
+/// counters. The owner keeps the configuration (disk spec, member
+/// count, RAID layout, scheduler) and hands it back to
+/// [`StorageSystem::restore_state`]. The trace sink and the two scratch
+/// buffers are excluded: the sink is an observation channel re-attached
+/// by the owner, and the scratches are empty between events.
 ///
 /// Restoring this state and advancing produces byte-identical output
 /// to advancing the original system: slabs and free lists are copied
@@ -746,9 +767,7 @@ impl StorageSystem {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SystemState {
     disks: Vec<Disk>,
-    scheduler: Scheduler,
-    raid: Option<RaidConfig>,
-    logical_sectors: u64,
+    rpm: Rpm,
     arrivals: Vec<(TimeKey, Request)>,
     slots: Vec<QueueSlot>,
     slot_free: Vec<u32>,
@@ -769,9 +788,7 @@ impl StorageSystem {
     pub fn capture_state(&self) -> SystemState {
         SystemState {
             disks: self.disks.clone(),
-            scheduler: self.scheduler,
-            raid: self.raid,
-            logical_sectors: self.logical_sectors,
+            rpm: self.rpm,
             arrivals: self.arrivals.sorted_entries(),
             slots: self.slots.clone(),
             slot_free: self.slot_free.clone(),
@@ -788,37 +805,35 @@ impl StorageSystem {
         }
     }
 
-    /// Rebuilds a system from a captured state. The trace sink starts
-    /// as the null sink; callers that traced the original re-install
-    /// their sink afterwards.
+    /// Rebuilds a system of `config` from a state captured from one,
+    /// running the checks [`Self::new`] runs without its allocations:
+    /// the captured buffers move in. The trace sink starts null; callers
+    /// that traced the original re-install their sink afterwards.
     ///
     /// # Errors
     ///
-    /// [`SimError::BadConfig`] when the state's internal references are
-    /// inconsistent (index out of range, broken queue links, mismatched
-    /// per-disk vector lengths, more requests finished than submitted)
-    /// or a disk's speed is negative or not finite — the shapes a
-    /// corrupted checkpoint body produces.
-    pub fn restore_state(state: SystemState) -> Result<Self, SimError> {
-        let n = state.disks.len();
-        if n == 0 {
-            return Err(SimError::BadConfig("state has no disks".into()));
-        }
-        if state.disk_queues.len() != n || state.in_service.len() != n {
+    /// As [`Self::new`], and [`SimError::BadConfig`] when the state does
+    /// not fit `config` (per-disk vectors of another length, a failed
+    /// member [`Self::fail_disk`] would refuse), its speed is not
+    /// positive and finite, or its internal references are inconsistent
+    /// (index out of range, broken queue links, more requests finished
+    /// than submitted) — the shapes a corrupted checkpoint body produces.
+    pub fn restore_state(config: SystemConfig, state: SystemState) -> Result<Self, SimError> {
+        let logical_sectors = config.logical_sectors()?;
+        let n = config.disks as usize;
+        if state.disks.len() != n || state.disk_queues.len() != n || state.in_service.len() != n {
             return Err(SimError::BadConfig(format!(
-                "state shape mismatch: {} disks, {} queues, {} service slots",
-                n,
+                "state shape mismatch: {n} members, {} disks, {} queues, {} service slots",
+                state.disks.len(),
                 state.disk_queues.len(),
                 state.in_service.len()
             )));
         }
-        if state.disks.iter().any(|d| {
-            let rpm = d.spec().rpm();
-            !(rpm.get() >= 0.0 && rpm.is_finite())
-        }) {
-            return Err(SimError::BadConfig(
-                "disk speed must be non-negative and finite".into(),
-            ));
+        if !(state.rpm.get() > 0.0 && state.rpm.is_finite()) {
+            return Err(SimError::BadConfig(format!(
+                "disk speed must be positive and finite, got {} RPM",
+                state.rpm.get()
+            )));
         }
         if state.finished > state.submitted {
             return Err(SimError::BadConfig(
@@ -849,11 +864,11 @@ impl StorageSystem {
                 return Err(SimError::BadConfig("disk queue length mismatch".into()));
             }
         }
-        Ok(Self {
+        let mut system = Self {
+            config,
+            rpm: state.rpm,
             disks: state.disks,
-            scheduler: state.scheduler,
-            raid: state.raid,
-            logical_sectors: state.logical_sectors,
+            logical_sectors,
             arrivals: ArrivalQueue::from_sorted_entries(state.arrivals),
             slots: state.slots,
             slot_free: state.slot_free,
@@ -866,11 +881,16 @@ impl StorageSystem {
             seq: state.seq,
             submitted: state.submitted,
             finished: state.finished,
-            failed_disk: state.failed_disk,
+            failed_disk: None,
             sink: diskobs::Sink::null(),
             op_scratch: Vec::new(),
             touched_scratch: Vec::new(),
-        })
+        };
+        if let Some(d) = state.failed_disk {
+            let fail = |e| SimError::BadConfig(format!("restored failed member: {e}"));
+            system.fail_disk(d).map_err(fail)?;
+        }
+        Ok(system)
     }
 }
 
@@ -1069,13 +1089,52 @@ mod tests {
     #[test]
     fn mismatched_raid_member_count_rejected() {
         let cfg = SystemConfig {
-            disks: vec![spec(); 3],
-            raid: Some(
-                RaidConfig::new(crate::raid::RaidLevel::Raid5, 4, 16).unwrap(),
-            ),
-            scheduler: Scheduler::default(),
+            disks: 3,
+            raid: Some(RaidConfig::new(RaidLevel::Raid5, 4, 16).unwrap()),
+            ..SystemConfig::jbod(spec(), 3)
         };
         assert!(StorageSystem::new(cfg).is_err());
+    }
+
+    #[test]
+    fn set_rpm_moves_every_member_and_the_restored_speed_is_checked() {
+        let cfg = SystemConfig::raid5(spec(), 4, 16).unwrap();
+        let mut sys = StorageSystem::new(cfg.clone()).unwrap();
+        assert_eq!(sys.rpm(), Rpm::new(10_000.0));
+        sys.set_sink(diskobs::Sink::buffer());
+        sys.set_rpm(Rpm::new(12_000.0));
+        sys.set_rpm(Rpm::new(12_000.0));
+        let mut events = Vec::new();
+        sys.drain_events_into(&mut events);
+        assert_eq!(events.len(), 1, "one transition per actual change");
+        let restored = StorageSystem::restore_state(cfg.clone(), sys.capture_state()).unwrap();
+        assert_eq!(restored.rpm(), Rpm::new(12_000.0));
+        for rpm in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            sys.set_rpm(Rpm::new(rpm));
+            let err = StorageSystem::restore_state(cfg.clone(), sys.capture_state()).unwrap_err();
+            assert!(matches!(err, SimError::BadConfig(_)), "{rpm} RPM: {err}");
+        }
+    }
+
+    #[test]
+    fn a_restored_failed_member_must_be_in_the_array() {
+        let raid5 = SystemConfig::raid5(spec(), 4, 16).unwrap();
+        let mut sys = StorageSystem::new(raid5.clone()).unwrap();
+        sys.fail_disk(3).unwrap();
+        let state = sys.capture_state();
+        let restored = StorageSystem::restore_state(raid5.clone(), state.clone()).unwrap();
+        assert_eq!(restored.failed_disk(), Some(3));
+        // The same state under a narrower array, a RAID-0 one, and one
+        // with no array at all: member 3 is not a RAID-5 member there.
+        let raid0 = SystemConfig::raid0(spec(), 4, 16).unwrap();
+        let narrow = SystemConfig::raid5(spec(), 3, 16).unwrap();
+        let jbod = SystemConfig::jbod(spec(), 4);
+        for config in [raid0, jbod] {
+            let err = StorageSystem::restore_state(config, state.clone()).unwrap_err();
+            let refused = matches!(err, SimError::BadConfig(ref m) if m.contains("failed member"));
+            assert!(refused, "{err}");
+        }
+        assert!(StorageSystem::restore_state(narrow, state).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::error::FleetError;
 use crate::fleet::{EnclosureReport, REBUILD_ID_BASE};
 use disksim::{
     Completion, EnergyMeter, EnergyModel, EnergyReport, Request, ResponseStats, SimError,
-    StorageSystem, SystemState,
+    StorageSystem, SystemConfig, SystemState,
 };
 use diskthermal::{
     drive_heat_estimate, DriveThermalSpec, HeldReading, NodeTemps, OperatingPoint, TempSensor,
@@ -85,11 +85,11 @@ pub(crate) struct Bay {
     pub run: Vec<diskobs::TimedEvent>,
 }
 
-/// What one bay alone knows, captured for checkpointing. The thermal
-/// description every bay shares lives once in the fleet state; the
-/// epoch scratch (completions, the epoch's mean duty and utilization,
-/// the event run) is overwritten before its next read, so it is rebuilt
-/// empty on restore.
+/// What one bay alone knows, captured for checkpointing. The disk and
+/// thermal descriptions every bay shares live once in the fleet state;
+/// the epoch scratch (completions, the epoch's mean duty and
+/// utilization, the event run) is overwritten before its next read, so
+/// it is rebuilt empty on restore.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct BayState {
     system: SystemState,
@@ -172,25 +172,28 @@ impl Bay {
         }
     }
 
-    /// Rebuilds bay `i` mid-flight from a captured state and the fleet's
-    /// shared thermal description. The trace sink starts null.
+    /// Rebuilds bay `i` mid-flight from a captured state, the fleet's
+    /// shared thermal description and the storage configuration every
+    /// bay shares. The trace sink starts null.
     ///
     /// # Errors
     ///
     /// Rejects response statistics whose counts, span or extremes do not
-    /// hold together, and propagates [`SimError::BadConfig`] for an
-    /// internally inconsistent storage-system state.
+    /// hold together, and propagates [`SimError::BadConfig`] for a
+    /// storage-system state that is internally inconsistent or does not
+    /// fit `system`.
     pub fn restore_state(
         i: usize,
         state: BayState,
         thermal: &DriveThermalSpec,
+        system: SystemConfig,
     ) -> Result<Self, FleetError> {
         state.stats.validate().map_err(|msg| {
             FleetError::Config(format!("enclosure {i} response statistics: {msg}"))
         })?;
         let model = ThermalModel::new(thermal.with_ambient(state.ambient));
         Ok(Self {
-            system: StorageSystem::restore_state(state.system)?,
+            system: StorageSystem::restore_state(system, state.system)?,
             energy: EnergyMeter::resume(energy_model(&model), state.energy),
             model,
             sim: transient(state.temps),
@@ -219,7 +222,7 @@ impl Bay {
 
     /// Current spindle speed (all members run in lockstep).
     pub fn rpm(&self) -> Rpm {
-        self.system.disks()[0].spec().rpm()
+        self.system.rpm()
     }
 
     /// Current internal-air temperature.
@@ -243,25 +246,6 @@ impl Bay {
         self.pending
             .push_back(remap(r, self.system.logical_sectors()));
         self.routed += 1;
-    }
-
-    /// Sets every member disk's spindle speed, emitting one
-    /// `RpmTransition` per actual change into the system's trace sink.
-    pub fn set_all_rpm(&mut self, rpm: Rpm) {
-        let from = self.rpm();
-        for d in self.system.disks_mut() {
-            d.set_rpm(rpm);
-        }
-        if from != rpm {
-            let now = self.system.clock();
-            let sink = self.system.sink_mut();
-            let drive = sink.scope();
-            sink.emit(now, || diskobs::Event::RpmTransition {
-                drive,
-                from: from.get(),
-                to: rpm.get(),
-            });
-        }
     }
 
     /// Releases every pending arrival up to `window_end` into the
@@ -415,7 +399,7 @@ impl Bay {
         }
         let p = coordinator.propose(i, sensed);
         if let Some(rpm) = p.rpm {
-            self.set_all_rpm(rpm);
+            self.system.set_rpm(rpm);
         }
         if ctx.sink_enabled {
             if let Some(action) = p.action {

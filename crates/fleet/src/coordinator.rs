@@ -88,8 +88,8 @@ pub enum FleetDtmPolicy {
 }
 
 impl FleetDtmPolicy {
-    /// Checks that every spindle speed the policy can set is
-    /// non-negative and finite.
+    /// Checks that every spindle speed the policy can set is positive
+    /// and finite: a stopped spindle has no rotation period.
     pub(crate) fn check_speeds(&self) -> Result<(), FleetError> {
         let speeds = match *self {
             Self::SpeedScale { high, low, .. }
@@ -100,9 +100,9 @@ impl FleetDtmPolicy {
             Self::SlackRamp { base, high, .. } => [base, high],
             Self::None | Self::Throttle { speeds: None, .. } => return Ok(()),
         };
-        match speeds.into_iter().find(|r| !(r.get() >= 0.0 && r.is_finite())) {
+        match speeds.into_iter().find(|r| !(r.get() > 0.0 && r.is_finite())) {
             Some(r) => Err(FleetError::Config(format!(
-                "DTM spindle speeds must be non-negative and finite, got {} RPM",
+                "DTM spindle speeds must be positive and finite, got {} RPM",
                 r.get()
             ))),
             None => Ok(()),

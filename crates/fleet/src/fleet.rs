@@ -3,7 +3,8 @@
 //!
 //! Each bay ([`crate::bay`]) couples a `StorageSystem` to a
 //! `TransientSim`; the fleet holds once what every bay shares — the
-//! disk spec new bays are built from and the drive's thermal spec.
+//! disk spec, which every member of every bay's storage system points
+//! at, and the drive's thermal spec.
 //! Between *sync epochs* the bays are fully independent, so the loop
 //! advances them in parallel. The
 //! epoch boundary itself is parallel too: shards *propose* against the
@@ -33,6 +34,7 @@ use diskthermal::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 use units::{Celsius, Rpm, Seconds};
 
 /// The longest a sync epoch may span, and the sim time past which
@@ -114,7 +116,8 @@ impl Rebuild {
 /// How a fleet is assembled.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Per-enclosure disk specification (every enclosure is one drive).
+    /// The disk every enclosure is built of (one drive, or each array
+    /// member); the fleet holds it once for all of them.
     pub spec: DiskSpec,
     /// When set, every enclosure is a RAID-5 array of `spec` drives
     /// instead of a single disk (enables failure injection).
@@ -485,8 +488,9 @@ impl FleetPhaseProfile {
 /// between epochs with [`Fleet::capture_state`].
 pub struct Fleet {
     bays: Vec<Bay>,
-    /// The disk every new bay is built from.
-    spec: DiskSpec,
+    /// The disk every member of every bay is, shared with each bay's
+    /// storage system.
+    spec: Arc<DiskSpec>,
     /// The drive's thermal geometry every bay shares; each bay couples
     /// it to its own local ambient.
     thermal: DriveThermalSpec,
@@ -536,7 +540,7 @@ pub struct Fleet {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetState {
     bays: Vec<BayState>,
-    spec: DiskSpec,
+    spec: Arc<DiskSpec>,
     thermal: DriveThermalSpec,
     routing: RoutingPolicy,
     router_cursor: usize,
@@ -588,10 +592,11 @@ impl Fleet {
     pub fn new(config: FleetConfig) -> Result<Self, FleetError> {
         check_settings(config.window, config.windows_per_epoch, &config.dtm)?;
         let n = config.airflow.len();
+        let spec = Arc::new(config.spec);
         let mut bays = Vec::with_capacity(n);
         assemble_bays(
             &mut bays,
-            &config.spec,
+            &spec,
             config.array,
             &config.thermal,
             &config.airflow,
@@ -600,7 +605,7 @@ impl Fleet {
 
         Ok(Self {
             bays,
-            spec: config.spec,
+            spec,
             thermal: config.thermal,
             router: Router::new(config.routing),
             coordinator: Coordinator::new(config.dtm, config.envelope, n),
@@ -800,7 +805,8 @@ impl Fleet {
     /// shard count.
     pub fn step_epoch(&mut self, sink: &mut diskobs::Sink, profile: &mut FleetPhaseProfile) {
         if !self.primed {
-            self.coordinator.prime(|i, rpm| self.bays[i].set_all_rpm(rpm));
+            self.coordinator
+                .prime(|i, rpm| self.bays[i].system.set_rpm(rpm));
             self.primed = true;
         }
 
@@ -1183,7 +1189,8 @@ impl Fleet {
         }
         assemble_bays(&mut self.bays, &self.spec, self.array, &self.thermal, &airflow, None)?;
         self.airflow = airflow;
-        self.coordinator.grow(n - old, |i, rpm| self.bays[i].set_all_rpm(rpm));
+        self.coordinator
+            .grow(n - old, |i, rpm| self.bays[i].system.set_rpm(rpm));
         Ok(())
     }
 
@@ -1191,7 +1198,7 @@ impl Fleet {
     pub fn capture_state(&self) -> FleetState {
         FleetState {
             bays: self.bays.iter().map(Bay::capture_state).collect(),
-            spec: self.spec.clone(),
+            spec: Arc::clone(&self.spec),
             thermal: self.thermal,
             routing: self.router.policy(),
             router_cursor: self.router.cursor(),
@@ -1219,9 +1226,10 @@ impl Fleet {
     /// # Errors
     ///
     /// Rejects inconsistent states (mismatched enclosure / airflow /
-    /// coordinator sizes, an airflow graph, windows, epochs and DTM
-    /// speeds [`Self::new`] would reject,
-    /// a thermal spec [`DriveThermalSpec::try_new`] would reject,
+    /// coordinator sizes, an airflow graph, windows, epochs, DTM speeds
+    /// and an enclosure array [`Self::new`] would reject,
+    /// a thermal spec [`DriveThermalSpec::try_new`] would reject, a disk
+    /// spec [`DiskSpec::validate`] refuses,
     /// response statistics whose counts, span or extremes do not hold
     /// together) and propagates simulator restore failures — the checks
     /// that catch a corrupted checkpoint body whose JSON still parses.
@@ -1248,6 +1256,8 @@ impl Fleet {
             .thermal
             .validate()
             .map_err(|e| FleetError::Config(format!("fleet thermal spec: {e}")))?;
+        state.spec.validate()?;
+        let system = bay_config(&state.spec, state.array)?;
         if let Some(rb) = state.rebuilds.iter().find(|rb| rb.enclosure >= n) {
             return Err(FleetError::Config(format!(
                 "rebuild targets enclosure {} but the state carries {n}",
@@ -1265,7 +1275,7 @@ impl Fleet {
             .bays
             .into_iter()
             .enumerate()
-            .map(|(i, b)| Bay::restore_state(i, b, &thermal))
+            .map(|(i, b)| Bay::restore_state(i, b, &thermal, system.clone()))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             bays,
@@ -1328,7 +1338,7 @@ fn check_settings(
 /// state under the local ambient the idling bays upstream produce.
 fn assemble_bays(
     bays: &mut Vec<Bay>,
-    spec: &DiskSpec,
+    spec: &Arc<DiskSpec>,
     array: Option<EnclosureArray>,
     thermal: &DriveThermalSpec,
     airflow: &AirflowGraph,
@@ -1337,8 +1347,9 @@ fn assemble_bays(
     let idle = OperatingPoint::idle_vcm(spec.rpm());
     let idle_heat = drive_heat_estimate(thermal, idle).get();
     let ambients = airflow.local_ambients(&vec![idle_heat; airflow.len()]);
+    let config = bay_config(spec, array)?;
     for ambient in ambients.into_iter().skip(bays.len()) {
-        let system = StorageSystem::new(bay_config(spec, array)?)?;
+        let system = StorageSystem::new(config.clone())?;
         let model = ThermalModel::new(thermal.with_ambient(ambient));
         let temps = start.unwrap_or_else(|| model.steady_state(idle));
         bays.push(Bay::new(system, model, temps));
@@ -1346,12 +1357,15 @@ fn assemble_bays(
     Ok(())
 }
 
-/// The per-bay storage configuration: one drive, or a RAID-5 array
-/// presented as one logical volume.
-fn bay_config(spec: &DiskSpec, array: Option<EnclosureArray>) -> Result<SystemConfig, FleetError> {
+/// The per-bay storage configuration: one `spec` drive, or a RAID-5
+/// array of them presented as one logical volume.
+fn bay_config(
+    spec: &Arc<DiskSpec>,
+    array: Option<EnclosureArray>,
+) -> Result<SystemConfig, FleetError> {
     Ok(match array {
-        Some(a) => SystemConfig::raid5(spec.clone(), a.disks, a.stripe_sectors)?,
-        None => SystemConfig::single_disk(spec.clone()),
+        Some(a) => SystemConfig::raid5(Arc::clone(spec), a.disks, a.stripe_sectors)?,
+        None => SystemConfig::single_disk(Arc::clone(spec)),
     })
 }
 
@@ -1576,6 +1590,15 @@ mod tests {
             resume_margin: TempDelta::new(0.3),
         };
         assert!(matches!(Fleet::new(cfg), Err(FleetError::Config(_))));
+        // A stopped spindle has no rotation period.
+        let mut cfg = config(1, 15_020.0, 12.0);
+        cfg.dtm = FleetDtmPolicy::SpeedScale {
+            high: Rpm::new(0.0),
+            low: Rpm::new(0.0),
+            guard: TempDelta::new(0.3),
+            resume_margin: TempDelta::new(0.3),
+        };
+        assert!(matches!(Fleet::new(cfg), Err(FleetError::Config(_))));
         // A 25-hour epoch outruns the 24-hour sim-time cap; 24 hours fits.
         let mut cfg = config(2, 15_020.0, 12.0);
         cfg.window = Seconds::new(3_600.0);
@@ -1748,6 +1771,65 @@ mod tests {
         }
     }
 
+    /// A copy of `v` whose value at `path` (object keys, and array
+    /// indices in decimal) is `x`.
+    fn with_path(v: &serde::Value, path: &[&str], x: &serde::Value) -> serde::Value {
+        use serde::Value;
+        let Some((key, rest)) = path.split_first() else {
+            return x.clone();
+        };
+        match v {
+            Value::Object(m) => Value::Object(
+                m.iter()
+                    .map(|(k, i)| {
+                        (
+                            k.clone(),
+                            if k == key {
+                                with_path(i, rest, x)
+                            } else {
+                                i.clone()
+                            },
+                        )
+                    })
+                    .collect(),
+            ),
+            Value::Array(items) => {
+                let at: usize = key.parse().expect("an array index");
+                Value::Array(
+                    items
+                        .iter()
+                        .enumerate()
+                        .map(|(j, i)| {
+                            if j == at {
+                                with_path(i, rest, x)
+                            } else {
+                                i.clone()
+                            }
+                        })
+                        .collect(),
+                )
+            }
+            _ => panic!("no {key:?} in a {}", v.kind()),
+        }
+    }
+
+    /// Whether a doctored state body ran: it must fail to parse, be
+    /// refused with a typed error (both `false`), or restore and step
+    /// two epochs (`true`). A panic or a hang fails the calling test.
+    fn refused_or_runs(doctored: &serde::Value) -> bool {
+        let Ok(state) = serde_json::from_value::<FleetState>(doctored) else {
+            return false;
+        };
+        let Ok(mut restored) = Fleet::restore_state(state) else {
+            return false;
+        };
+        let mut sink = diskobs::Sink::null();
+        let mut profile = FleetPhaseProfile::default();
+        restored.step_epoch(&mut sink, &mut profile);
+        restored.step_epoch(&mut sink, &mut profile);
+        true
+    }
+
     #[test]
     fn a_checkpoint_with_any_leaf_corrupted_is_refused_or_runs() {
         // Every numeric leaf of a two-bay hall state captured after its
@@ -1775,25 +1857,88 @@ mod tests {
         let mut leaves = 0;
         with_leaf(&tree, usize::MAX, &mut leaves, serde::Number::UInt(0));
         assert!(leaves > 500, "the state has {leaves} numeric leaves");
+        let corruptions = [
+            serde::Number::Int(-1),
+            serde::Number::UInt(0),
+            serde::Number::Float(1e300),
+        ];
         let (mut refused, mut ran) = (0, 0);
         for leaf in 0..leaves {
-            for x in [serde::Number::Int(-1), serde::Number::UInt(0), serde::Number::Float(1e300)] {
-                let doctored = with_leaf(&tree, leaf, &mut 0, x);
-                let Ok(state) = serde_json::from_value::<FleetState>(&doctored) else {
+            for x in corruptions {
+                if refused_or_runs(&with_leaf(&tree, leaf, &mut 0, x)) {
+                    ran += 1;
+                } else {
                     refused += 1;
-                    continue;
-                };
-                match Fleet::restore_state(state) {
-                    Err(_) => refused += 1,
-                    Ok(mut restored) => {
-                        restored.step_epoch(&mut sink, &mut profile);
-                        restored.step_epoch(&mut sink, &mut profile);
-                        ran += 1;
-                    }
                 }
             }
         }
         assert!(refused > 0 && ran > 0, "{refused} refused, {ran} ran");
+
+        // With requests in flight: a two-bay RAID-5 state captured
+        // mid-traffic, one array degraded and rebuilding. The sweep
+        // covers what this state makes the one source of truth — every
+        // numeric leaf of the fleet's disk spec, and each bay's spindle
+        // speed and failed member, the latter also at the array width
+        // (one past the last member).
+        const WIDTH: u32 = 4;
+        let mut cfg = config(2, 15_020.0, 10.0);
+        cfg.array = Some(EnclosureArray {
+            disks: WIDTH,
+            stripe_sectors: 65_536,
+        });
+        cfg.dtm = FleetDtmPolicy::SpeedScale {
+            high: Rpm::new(15_020.0),
+            low: Rpm::new(12_000.0),
+            guard: TempDelta::new(0.3),
+            resume_margin: TempDelta::new(0.3),
+        };
+        let mut fleet = Fleet::new(cfg).unwrap();
+        fleet.offer(trace(4_000, 1_000.0));
+        fleet.step_epoch(&mut sink, &mut profile);
+        fleet.fail_drive(0, 1, RebuildSpec::default()).unwrap();
+        fleet.step_epoch(&mut sink, &mut profile);
+        assert!(
+            fleet.bays.iter().all(|b| b.system.in_flight() > 0),
+            "requests are in flight"
+        );
+        let tree = serde::Serialize::to_value(&fleet.capture_state());
+        assert!(refused_or_runs(&tree), "the captured state runs");
+        let spec = tree.get("spec").unwrap();
+        let mut spec_leaves = 0;
+        with_leaf(spec, usize::MAX, &mut spec_leaves, serde::Number::UInt(0));
+        let (mut refused, mut ran) = (0, 0);
+        let mut tally = |body: &serde::Value| {
+            if refused_or_runs(body) {
+                ran += 1;
+            } else {
+                refused += 1;
+            }
+        };
+        for leaf in 0..spec_leaves {
+            for x in corruptions {
+                let spec = with_leaf(spec, leaf, &mut 0, x);
+                tally(&with_path(&tree, &["spec"], &spec));
+            }
+        }
+        let width = serde::Number::UInt(WIDTH.into());
+        let bay_cases = corruptions
+            .iter()
+            .flat_map(|&x| [("rpm", x), ("failed_disk", x)])
+            .chain([("failed_disk", width)]);
+        for (field, x) in bay_cases {
+            for bay in ["0", "1"] {
+                let path = ["bays", bay, "system", field];
+                tally(&with_path(&tree, &path, &serde::Value::Number(x)));
+            }
+        }
+        assert!(
+            spec_leaves > 200,
+            "the spec has {spec_leaves} numeric leaves"
+        );
+        assert!(
+            refused > 0 && ran > 0,
+            "in flight: {refused} refused, {ran} ran"
+        );
     }
 
     #[test]

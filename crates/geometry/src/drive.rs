@@ -57,8 +57,9 @@ impl DriveGeometry {
     ///
     /// # Errors
     ///
-    /// Propagates [`GeometryError`] for invalid densities, zero zones or
-    /// platters, or tracks too short to hold a sector.
+    /// Propagates [`GeometryError`] for an invalid platter or densities,
+    /// zero zones or platters, tracks too short to hold a sector, or
+    /// counts too large to address.
     pub fn new(
         platter: Platter,
         tech: RecordingTech,
@@ -68,13 +69,16 @@ impl DriveGeometry {
         if platters == 0 {
             return Err(GeometryError::NoPlatters);
         }
+        let overflow = |name| GeometryError::Overflow { name };
+        let surfaces = platters.checked_mul(2).ok_or(overflow("surface count"))?;
         let zones = ZoneTable::new(platter, tech, n_zones)?;
-        let surfaces = platters as u64 * 2;
         let mut zone_lba_starts = Vec::with_capacity(zones.zone_count() as usize + 1);
         let mut acc = 0u64;
         for z in zones.zones() {
             zone_lba_starts.push(acc);
-            acc += z.sectors_per_surface().get() * surfaces;
+            acc = (z.sectors_per_surface().get().checked_mul(surfaces.into()))
+                .and_then(|sectors| acc.checked_add(sectors))
+                .ok_or(overflow("sector count"))?;
         }
         zone_lba_starts.push(acc);
         Ok(Self {
@@ -222,10 +226,7 @@ mod tests {
 
     fn small_drive() -> DriveGeometry {
         // A deliberately tiny geometry so exhaustive LBA sweeps are fast.
-        let tech = RecordingTech::new(
-            BitsPerInch::from_kbpi(16.0),
-            TracksPerInch::new(400.0),
-        );
+        let tech = RecordingTech::new(BitsPerInch::from_kbpi(16.0), TracksPerInch::new(400.0));
         DriveGeometry::new(Platter::new(Inches::new(3.3)), tech, 2, 10).unwrap()
     }
 
@@ -313,6 +314,30 @@ mod tests {
         );
         let err = DriveGeometry::new(Platter::new(Inches::new(3.3)), tech, 0, 30).unwrap_err();
         assert!(matches!(err, GeometryError::NoPlatters));
+    }
+
+    #[test]
+    fn too_many_surfaces_to_address_is_an_error() {
+        let tech = RecordingTech::new(
+            BitsPerInch::from_kbpi(256.0),
+            TracksPerInch::from_ktpi(13.0),
+        );
+        let platter = Platter::new(Inches::new(3.3));
+        assert_eq!(
+            DriveGeometry::new(platter, tech, u32::MAX, 30).unwrap_err(),
+            GeometryError::Overflow {
+                name: "surface count"
+            }
+        );
+        // ~1.2e9 sectors per track on 5.5e7 cylinders: a thousand
+        // platters hold more sectors than 64 bits count.
+        let dense = RecordingTech::new(BitsPerInch::new(1e12), TracksPerInch::new(1e8));
+        assert_eq!(
+            DriveGeometry::new(platter, dense, 1_000, 30).unwrap_err(),
+            GeometryError::Overflow {
+                name: "sector count"
+            }
+        );
     }
 
     #[test]

@@ -28,6 +28,12 @@ pub enum GeometryError {
     },
     /// Zero platters requested.
     NoPlatters,
+    /// A count the geometry derives from its parameters overflows the
+    /// integer type that addresses it.
+    Overflow {
+        /// Name of the overflowing count.
+        name: &'static str,
+    },
 }
 
 impl core::fmt::Display for GeometryError {
@@ -48,6 +54,7 @@ impl core::fmt::Display for GeometryError {
                  {effective_sector_bits:.0}-bit effective sector"
             ),
             Self::NoPlatters => write!(f, "a drive needs at least one platter"),
+            Self::Overflow { name } => write!(f, "the drive's {name} overflows its address type"),
         }
     }
 }

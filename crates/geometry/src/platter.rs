@@ -69,13 +69,13 @@ impl Platter {
 
     /// Number of user-accessible cylinders at the given track density:
     /// `n_cylin = η (r_o − r_i) · TPI`, truncated to a whole track count.
+    /// Saturating: a band that is not positive holds no cylinders, one
+    /// too wide to count in 32 bits holds `u32::MAX`.
     pub fn cylinders(&self, tpi: TracksPerInch) -> u32 {
         // Round to the nearest whole track: the product is analytically
         // exact for datasheet inputs (e.g. 2/3 * 0.825 * 13000 = 7150)
         // and must not lose a track to floating-point truncation.
-        let n = (STROKE_EFFICIENCY * self.band_width().get() * tpi.get()).round();
-        debug_assert!(n >= 0.0 && n < u32::MAX as f64, "cylinder count out of range");
-        n as u32
+        (STROKE_EFFICIENCY * self.band_width().get() * tpi.get()).round() as u32
     }
 
     /// Radius of track `j` of `n_cylin`, with `j = 0` the outermost track

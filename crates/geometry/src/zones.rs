@@ -96,10 +96,12 @@ impl ZoneTable {
     ///
     /// # Errors
     ///
-    /// - [`GeometryError::InvalidParameter`] if the platter or densities
-    ///   are non-positive, or `n_zones == 0`.
+    /// - [`GeometryError::InvalidParameter`] if the densities are
+    ///   non-positive or not finite, or `n_zones == 0`.
+    /// - [`GeometryError::Overflow`] if the cylinder count or a zone's
+    ///   sectors per track does not fit in 32 bits.
     /// - [`GeometryError::TooManyZones`] if there are fewer cylinders
-    ///   than zones.
+    ///   than zones (a platter that is not positive has none).
     /// - [`GeometryError::TrackTooShort`] if the innermost zone cannot
     ///   hold a single derated sector per track.
     pub fn new(
@@ -116,6 +118,11 @@ impl ZoneTable {
             return Err(GeometryError::InvalidParameter { name: "n_zones" });
         }
         let total_cylinders = platter.cylinders(tech.tpi());
+        if total_cylinders == u32::MAX {
+            return Err(GeometryError::Overflow {
+                name: "cylinder count",
+            });
+        }
         if total_cylinders < n_zones {
             return Err(GeometryError::TooManyZones {
                 zones: n_zones,
@@ -143,7 +150,13 @@ impl ZoneTable {
             let innermost = first_cylinder + tracks_per_zone - 1;
             let min_radius = platter.track_radius(innermost, total_cylinders);
             let raw_bits = core::f64::consts::TAU * min_radius.get() * tech.bpi().get();
-            let spt = (raw_bits / effective_sector_bits).floor() as u64;
+            let spt = (raw_bits / effective_sector_bits).floor();
+            if spt >= u32::MAX as f64 {
+                return Err(GeometryError::Overflow {
+                    name: "sectors per track",
+                });
+            }
+            let spt = spt as u64;
             if spt == 0 {
                 return Err(GeometryError::TrackTooShort {
                     raw_bits,
@@ -358,6 +371,39 @@ mod tests {
         let tech = RecordingTech::new(BitsPerInch::ZERO, TracksPerInch::from_ktpi(13.0));
         let err = ZoneTable::new(Platter::new(Inches::new(3.3)), tech, 30).unwrap_err();
         assert!(matches!(err, GeometryError::InvalidParameter { .. }));
+    }
+
+    #[test]
+    fn out_of_range_platters_and_densities_are_errors() {
+        let tech =
+            |bpi: f64, tpi: f64| RecordingTech::new(BitsPerInch::new(bpi), TracksPerInch::new(tpi));
+        // As a checkpoint would carry it: `Platter::new` asserts a
+        // positive diameter in debug builds.
+        let platter = |d: f64| -> Platter {
+            let mut m = serde::Map::new();
+            m.insert("diameter", serde::Value::Number(serde::Number::Float(d)));
+            serde::Deserialize::from_value(&serde::Value::Object(m)).unwrap()
+        };
+        // The band of an infinite platter is inf - inf: no cylinders.
+        for d in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                ZoneTable::new(platter(d), tech(256e3, 13e3), 30).unwrap_err(),
+                GeometryError::TooManyZones {
+                    zones: 30,
+                    cylinders: 0
+                }
+            );
+        }
+        for (d, bpi, tpi, name) in [
+            (1e300, 256e3, 13e3, "cylinder count"),
+            (3.3, 256e3, 1e300, "cylinder count"),
+            (3.3, 1e300, 13e3, "sectors per track"),
+        ] {
+            assert_eq!(
+                ZoneTable::new(platter(d), tech(bpi, tpi), 30).unwrap_err(),
+                GeometryError::Overflow { name }
+            );
+        }
     }
 
     #[test]

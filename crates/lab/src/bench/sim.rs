@@ -81,7 +81,7 @@ pub(super) fn sim_windows_per_sec(requests: u64, reps: usize) -> Result<(f64, f6
         StorageSystem::new(SystemConfig::single_disk(spec.clone()))
             .map_err(|e| LabError::Experiment(format!("sim bench: {e}")))
     };
-    let cap = fresh()?.logical_sectors();
+    let cap = spec.geometry().total_sectors().get();
     // The fleet benchmark's trace, folded into one drive's address
     // space at that rack's per-drive arrival rate.
     let rate = 400.0 / FLEET_BENCH_ENCLOSURES as f64;

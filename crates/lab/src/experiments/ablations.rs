@@ -160,9 +160,7 @@ impl Experiment for Ablations {
 
         // 3. Scheduler choice under backlog.
         let spec = DiskSpec::era_2001(Rpm::new(10_000.0));
-        let capacity = StorageSystem::new(SystemConfig::single_disk(spec.clone()))
-            .map_err(ablation_error)?
-            .logical_sectors();
+        let capacity = spec.geometry().total_sectors().get();
         outln!(
             report,
             "scheduler -> mean response ({BACKLOG} simultaneous random reads):"

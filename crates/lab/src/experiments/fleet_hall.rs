@@ -19,7 +19,7 @@ use crate::experiments::config_object;
 use crate::text::{outln, rule};
 use crate::{Experiment, LabError, RunOutput, Scale};
 use diskfleet::{AirflowGraph, Fleet, FleetConfig, FleetDtmPolicy, FleetReport, RoutingPolicy};
-use disksim::{DiskSpec, StorageSystem, SystemConfig};
+use disksim::DiskSpec;
 use diskthermal::{DriveThermalSpec, THERMAL_ENVELOPE};
 use serde::Serialize;
 use serde_json::Value;
@@ -205,13 +205,10 @@ impl Experiment for FleetHall {
         let mut report = String::new();
         let fail = |e: &dyn std::fmt::Display| LabError::Experiment(format!("fleet_hall: {e}"));
 
-        let capacity = StorageSystem::new(SystemConfig::single_disk(DiskSpec::era(
-            2002,
-            1,
-            Rpm::new(HIGH_RPM),
-        )))
-        .map_err(|e| fail(&e))?
-        .logical_sectors();
+        let capacity = DiskSpec::era(2002, 1, Rpm::new(HIGH_RPM))
+            .geometry()
+            .total_sectors()
+            .get();
         let preset = oltp();
         let generator = TraceGenerator::new(
             preset.profile.clone(),

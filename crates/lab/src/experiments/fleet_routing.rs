@@ -13,7 +13,7 @@ use crate::experiments::config_object;
 use crate::text::{outln, rule};
 use crate::{Experiment, LabError, RunOutput, Scale};
 use diskfleet::{Fleet, FleetConfig, FleetReport, RoutingPolicy};
-use disksim::{DiskSpec, StorageSystem, SystemConfig};
+use disksim::DiskSpec;
 use diskthermal::{DriveThermalSpec, THERMAL_ENVELOPE};
 use serde::Serialize;
 use serde_json::Value;
@@ -122,13 +122,10 @@ impl Experiment for FleetRouting {
 
         // One drive's capacity bounds the logical LBA space the traces
         // target; the fleet remaps per placement anyway.
-        let capacity = StorageSystem::new(SystemConfig::single_disk(DiskSpec::era(
-            2002,
-            1,
-            Rpm::new(15_020.0),
-        )))
-        .map_err(|e| fail(&e))?
-        .logical_sectors();
+        let capacity = DiskSpec::era(2002, 1, Rpm::new(15_020.0))
+            .geometry()
+            .total_sectors()
+            .get();
 
         outln!(
             report,

@@ -12,7 +12,7 @@ use crate::experiments::config_object;
 use crate::text::{outln, rule};
 use crate::{Experiment, LabError, RunOutput, Scale};
 use diskfleet::{Fleet, FleetConfig, FleetDtmPolicy, FleetReport};
-use disksim::{DiskSpec, StorageSystem, SystemConfig};
+use disksim::DiskSpec;
 use diskthermal::{DriveThermalSpec, THERMAL_ENVELOPE};
 use serde::Serialize;
 use serde_json::Value;
@@ -136,13 +136,10 @@ impl Experiment for FleetScaling {
 
         // One OLTP-shaped trace shared by every size, so the offered
         // load is identical and only the rack density moves.
-        let capacity = StorageSystem::new(SystemConfig::single_disk(DiskSpec::era(
-            2002,
-            1,
-            Rpm::new(HIGH_RPM),
-        )))
-        .map_err(|e| fail(&e))?
-        .logical_sectors();
+        let capacity = DiskSpec::era(2002, 1, Rpm::new(HIGH_RPM))
+            .geometry()
+            .total_sectors()
+            .get();
         let preset = oltp();
         let generator = TraceGenerator::new(
             preset.profile.clone(),

@@ -5,7 +5,7 @@
 use crate::LabError;
 use diskfleet::{Fleet, FleetReport};
 use diskscenario::{run_scenario, ArrivalSource, EpochSample, Scenario, ScenarioEngine};
-use disksim::{DiskSpec, StorageSystem, SystemConfig};
+use disksim::DiskSpec;
 use workloads::{oltp, search_engine, TraceGenerator, WorkloadPreset};
 
 /// An endless OLTP-shaped Poisson stream at `rate` requests/s over the
@@ -37,9 +37,7 @@ fn preset_source(
     seed: u64,
 ) -> Result<ArrivalSource, LabError> {
     let fail = |e: &dyn std::fmt::Display| LabError::Experiment(format!("scenario source: {e}"));
-    let capacity = StorageSystem::new(SystemConfig::single_disk(spec.clone()))
-        .map_err(|e| fail(&e))?
-        .logical_sectors();
+    let capacity = spec.geometry().total_sectors().get();
     let generator = TraceGenerator::new(
         preset.profile.clone(),
         preset.arrivals.with_mean_rate(rate),

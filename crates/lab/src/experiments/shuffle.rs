@@ -68,9 +68,7 @@ impl Experiment for Shuffle {
         // A skewed OLTP-like stream on one 2.6" drive at the envelope speed.
         let rpm = Rpm::new(15_020.0);
         let spec = DiskSpec::era(2002, 1, rpm);
-        let capacity = StorageSystem::new(SystemConfig::single_disk(spec.clone()))
-            .map_err(|e| fail(&e))?
-            .logical_sectors();
+        let capacity = spec.geometry().total_sectors().get();
         let mut preset = oltp();
         preset.disks = 1;
         let trace = {

@@ -20,7 +20,7 @@
 use crate::error::LabError;
 use diskfleet::{Fleet, FleetDtmPolicy, FleetReport, HallSpec, RoutingPolicy};
 use disksim::par::parallel_map;
-use disksim::{DiskSpec, Request, StorageSystem, SystemConfig};
+use disksim::{DiskSpec, Request};
 use disksurrogate::{Axis, TrainingSample};
 use diskthermal::{DriveThermalSpec, THERMAL_ENVELOPE};
 use serde::Serialize;
@@ -232,9 +232,7 @@ impl SweepSpec {
 
         let preset = workloads::preset_by_key(&self.preset)
             .ok_or_else(|| fail(&format!("unknown workload preset {:?}", self.preset)))?;
-        let capacity = StorageSystem::new(SystemConfig::single_disk(spec))
-            .map_err(|e| fail(&e))?
-            .logical_sectors();
+        let capacity = spec.geometry().total_sectors().get();
         let generator = TraceGenerator::new(
             preset.profile.clone(),
             preset.arrivals.with_mean_rate(*rate),

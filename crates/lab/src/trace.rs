@@ -18,7 +18,7 @@
 use crate::error::LabError;
 use diskfleet::{Fleet, FleetConfig, FleetDtmPolicy, RoutingPolicy};
 use diskobs::{Event, NdjsonRecorder, Recorder, Registry, Sink, TimedEvent, Timeseries};
-use disksim::{DiskSpec, Request, RequestKind, StorageSystem, SystemConfig};
+use disksim::{DiskSpec, Request, RequestKind};
 use diskthermal::{DriveThermalSpec, NodeTemps, TempSensor, THERMAL_ENVELOPE};
 use std::path::{Path, PathBuf};
 use units::{Inches, Rpm, Seconds, TempDelta};
@@ -76,9 +76,7 @@ pub fn run_trace(name: &str, threads: usize, dir: &Path) -> Result<TraceOutcome,
 fn trace_figure5(sink: &mut Sink) -> Result<(), LabError> {
     let fail = |e: &dyn std::fmt::Display| LabError::Experiment(format!("trace figure5: {e}"));
     let spec = DiskSpec::era(2002, 1, Rpm::new(15_020.0));
-    let capacity = StorageSystem::new(SystemConfig::single_disk(spec.clone()))
-        .map_err(|e| fail(&e))?
-        .logical_sectors();
+    let capacity = spec.geometry().total_sectors().get();
     let thermal = DriveThermalSpec::new(Inches::new(2.6), 1);
     let mut config = FleetConfig::serial(1, spec, thermal, 10.0).map_err(|e| fail(&e))?;
     config.dtm = FleetDtmPolicy::SlackRamp {
@@ -155,13 +153,10 @@ fn trace_scenario_rebuild(threads: usize, sink: &mut Sink) -> Result<(), LabErro
     };
     config.threads = threads;
     let mut fleet = Fleet::new(config).map_err(|e| fail(&e))?;
-    let capacity = StorageSystem::new(SystemConfig::single_disk(DiskSpec::era(
-        2002,
-        1,
-        Rpm::new(15_020.0),
-    )))
-    .map_err(|e| fail(&e))?
-    .logical_sectors();
+    let capacity = DiskSpec::era(2002, 1, Rpm::new(15_020.0))
+        .geometry()
+        .total_sectors()
+        .get();
     let mut source =
         ArrivalSource::replay(synthetic_trace(1_200, 200.0, capacity)).map_err(|e| fail(&e))?;
     let mut engine = ScenarioEngine::new(Scenario::new().with(Injection::DriveFailure {

@@ -208,15 +208,6 @@ impl TransientSim {
         Ok(self)
     }
 
-    /// Sets the simulated clock (checkpoint restore). Time is pure
-    /// bookkeeping — the dynamics depend only on temperatures — so
-    /// restoring it alongside [`Self::with_initial`] reproduces a
-    /// captured simulation exactly.
-    pub fn with_time(mut self, time: Seconds) -> Self {
-        self.time = time;
-        self
-    }
-
     /// Overrides the integration scheme.
     pub fn with_integrator(mut self, integrator: Integrator) -> Self {
         self.integrator = integrator;

@@ -62,7 +62,15 @@ pub const CHECKPOINT_MAGIC: &str = "DISKTWIN";
 ///   spindle speeds instead of a mechanism. Version-5 bodies carry the
 ///   nested shape, so they fail fast with
 ///   [`CheckpointError::VersionMismatch`].
-pub const STATE_VERSION: u32 = 6;
+/// - 7: one disk spec per fleet. A storage-system state carries state
+///   only: its member disks lost their specs (each held the same zone
+///   table), the state lost the RAID layout, scheduler and logical size
+///   its fleet configures, and it gained the one spindle speed all its
+///   members run at. The fleet's `spec` is now the only disk spec in a
+///   checkpoint and is validated against the geometry its own
+///   parameters rebuild. Version-6 bodies carry a spec per member, so
+///   they fail fast with [`CheckpointError::VersionMismatch`].
+pub const STATE_VERSION: u32 = 7;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]

@@ -179,11 +179,6 @@ impl TwinServer {
         self.shared.forks.load(Ordering::SeqCst)
     }
 
-    /// The server's metrics registry as compact JSON.
-    pub fn metrics_json(&self) -> String {
-        serde_json::to_string(&*self.shared.metrics_lock()).unwrap_or_default()
-    }
-
     /// Blocks until the server stops (a client sends `shutdown`), then
     /// completes the graceful teardown.
     pub fn join(mut self) {

@@ -118,12 +118,16 @@ fn mid_rebuild_checkpoint_restores_with_its_pending_schedule() {
 /// and keeps advancing byte-identically.
 #[test]
 fn mid_raid_rebuild_state_round_trips() {
-    let cfg = SystemConfig::raid5(DiskSpec::era_2001(Rpm::new(10_000.0)), 5, 16)
-        .expect("raid5 config");
-    let mut sys = StorageSystem::new(cfg).expect("system builds");
+    let cfg =
+        SystemConfig::raid5(DiskSpec::era_2001(Rpm::new(10_000.0)), 5, 16).expect("raid5 config");
+    let mut sys = StorageSystem::new(cfg.clone()).expect("system builds");
     let span = sys.logical_sectors() - 256;
     for i in 0..200u64 {
-        let kind = if i % 3 == 0 { RequestKind::Write } else { RequestKind::Read };
+        let kind = if i % 3 == 0 {
+            RequestKind::Write
+        } else {
+            RequestKind::Read
+        };
         let r = Request::new(
             i,
             Seconds::from_millis(i as f64 * 0.7),
@@ -141,9 +145,13 @@ fn mid_raid_rebuild_state_round_trips() {
 
     let json = serde_json::to_string(&sys.capture_state()).expect("state serializes");
     let mut restored =
-        StorageSystem::restore_state(serde_json::from_str(&json).expect("state parses"))
+        StorageSystem::restore_state(cfg, serde_json::from_str(&json).expect("state parses"))
             .expect("restore");
-    assert_eq!(restored.failed_disk(), Some(2), "degraded mode survives restore");
+    assert_eq!(
+        restored.failed_disk(),
+        Some(2),
+        "degraded mode survives restore"
+    );
 
     let a = sys.drain();
     let b = restored.drain();
@@ -172,6 +180,31 @@ fn encoded_body_equals_the_value_tree_rendering() {
         let body = std::str::from_utf8(&bytes[header_end + 1..bytes.len() - 1]).unwrap();
         let tree = serde::ser::to_compact(&serde::Serialize::to_value(&state));
         assert!(body == tree, "preset {preset}: streamed body differs from the tree rendering");
+    }
+}
+
+/// The fleet holds the one disk spec every member of every bay is: a
+/// checkpoint carries its zone table once, however many bays and
+/// array members the fleet has.
+#[test]
+fn a_checkpoint_carries_one_disk_spec_whatever_the_fleet_size() {
+    use diskfleet::EnclosureArray;
+    let presets = workloads::presets();
+    for (enclosures, array) in [(1, None), (3, None), (2, Some(3)), (5, Some(6))] {
+        let mut config = TwinConfig::preset(presets[1].clone(), enclosures);
+        config.array = array.map(|disks| EnclosureArray {
+            disks,
+            stripe_sectors: 65_536,
+        });
+        let mut twin = Twin::new(config).expect("twin builds");
+        twin.advance_epoch().expect("advance");
+        let bytes = encode(&twin.capture_state()).expect("encode");
+        let body = std::str::from_utf8(&bytes).expect("checkpoints are UTF-8");
+        assert_eq!(
+            body.matches("\"zone_lba_starts\"").count(),
+            1,
+            "{enclosures} bays of {array:?} members"
+        );
     }
 }
 
@@ -213,18 +246,19 @@ fn corrupted_checkpoints_are_rejected_before_parsing() {
     ));
 
     // Any other version — future or past — is refused with a typed
-    // error before the JSON parser ever runs. The v2 to v5 cases are the
+    // error before the JSON parser ever runs. The v2 to v6 cases are the
     // real migration hazards: a pre-v3 checkpoint carries a bare stream
     // state where `source` now lives and no scenario schedule, a v3
     // checkpoint carries a sample reservoir where each enclosure's
     // histogram now lives, a v4 checkpoint lacks the sensor, energy and
-    // slack-ramp state, and a v5 checkpoint nests each bay's drive state
-    // and copies the thermal description into every bay, so all must
-    // fail loudly, not half-deserialize.
+    // slack-ramp state, a v5 checkpoint nests each bay's drive state
+    // and copies the thermal description into every bay, and a v6
+    // checkpoint gives every member disk its own spec and no system its
+    // speed, so all must fail loudly, not half-deserialize.
     let header_end = good.iter().position(|&b| b == b'\n').unwrap();
     let header = String::from_utf8(good[..header_end].to_vec()).unwrap();
     let current = format!(" {STATE_VERSION} ");
-    for old in [1u32, 2, 3, 4, 5, 999] {
+    for old in [1u32, 2, 3, 4, 5, 6, 999] {
         let bumped = header.replacen(&current, &format!(" {old} "), 1);
         assert_ne!(bumped, header, "the version field must be rewritten");
         let mut wrong_version = bumped.into_bytes();

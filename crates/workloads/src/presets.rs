@@ -76,6 +76,18 @@ impl WorkloadPreset {
         }
     }
 
+    /// The request generator over this workload's logical volume.
+    fn generator(&self) -> Result<TraceGenerator, SimError> {
+        let capacity = self.system_config(self.base_rpm)?.logical_sectors()?;
+        TraceGenerator::new(
+            self.profile.clone(),
+            self.arrivals,
+            self.logical_devices(),
+            capacity,
+        )
+        .map_err(SimError::BadConfig)
+    }
+
     /// Generates `n` requests of this workload, deterministically from
     /// `seed`.
     ///
@@ -84,15 +96,7 @@ impl WorkloadPreset {
     /// Propagates simulator configuration errors (the preset itself is
     /// always internally consistent).
     pub fn generate(&self, n: usize, seed: u64) -> Result<Vec<Request>, SimError> {
-        let system = StorageSystem::new(self.system_config(self.base_rpm)?)?;
-        let generator = TraceGenerator::new(
-            self.profile.clone(),
-            self.arrivals,
-            self.logical_devices(),
-            system.logical_sectors(),
-        )
-        .map_err(SimError::BadConfig)?;
-        Ok(generator.generate(n, seed))
+        Ok(self.generator()?.generate(n, seed))
     }
 
     /// Opens an endless request stream of this workload — the digital
@@ -105,15 +109,7 @@ impl WorkloadPreset {
     /// Propagates simulator configuration errors (the preset itself is
     /// always internally consistent).
     pub fn stream(&self, seed: u64) -> Result<crate::TraceStream, SimError> {
-        let system = StorageSystem::new(self.system_config(self.base_rpm)?)?;
-        let generator = TraceGenerator::new(
-            self.profile.clone(),
-            self.arrivals,
-            self.logical_devices(),
-            system.logical_sectors(),
-        )
-        .map_err(SimError::BadConfig)?;
-        Ok(generator.stream(seed))
+        Ok(self.generator()?.stream(seed))
     }
 
     /// Generates, simulates and summarizes `n` requests at the given

@@ -65,7 +65,7 @@ git diff --exit-code -- results/figure4.json results/figure4.txt
 echo "==> cargo run --release --bin lab -- run twin_whatif --no-cache"
 # The what-if fork outcomes carry p95/p99 and Figure 4 CDFs read off
 # the fleet's merged response-time histograms, and every fork restores
-# a version-6 checkpoint state, so this recompute (~0.3 s) also drives
+# a version-7 checkpoint state, so this recompute (~0.3 s) also drives
 # the checkpoint path end to end.
 cargo run --release --bin lab -- run twin_whatif --no-cache
 git diff --exit-code -- results/twin_whatif.json results/twin_whatif.txt

@@ -15,7 +15,8 @@
 //! to the same budget, a fourth pins NDJSON trace recording: once its
 //! line buffer has held the longest line, `NdjsonRecorder` renders and
 //! writes events without touching the heap. A fifth pins `StorageSystem::restore_state`, which hands
-//! the captured buffers to the rebuilt system and allocates nothing.
+//! the captured buffers and the owner's configuration (its shared disk spec included) to the rebuilt
+//! system and allocates nothing.
 //!
 //! Everything lives in one `#[test]` function: the counter is global,
 //! and the test harness runs sibling tests on other threads, which
@@ -327,11 +328,9 @@ fn steady_state_windows_allocate_nothing() {
     // arrivals admitted but not yet served, then restore it: the
     // arrival queue takes over the captured entry list's buffer and
     // every other field moves in as captured.
-    let mut sys = StorageSystem::new(
-        SystemConfig::raid5(DiskSpec::era(2002, 1, Rpm::new(15_020.0)), 4, 64)
-            .expect("valid raid5 config"),
-    )
-    .expect("valid system");
+    let config = SystemConfig::raid5(DiskSpec::era(2002, 1, Rpm::new(15_020.0)), 4, 64)
+        .expect("valid raid5 config");
+    let mut sys = StorageSystem::new(config.clone()).expect("valid system");
     let mut pending: VecDeque<Request> = trace(requests, rate, sys.logical_sectors()).into();
     let next = run_windows(&mut sys, &mut pending, &mut out, 0, 8);
     let end = Seconds::new((next + 1) as f64 * WINDOW);
@@ -341,7 +340,8 @@ fn steady_state_windows_allocate_nothing() {
     }
     let state = sys.capture_state();
     let before = allocations();
-    let restored = StorageSystem::restore_state(state).expect("captured state is consistent");
+    let restored =
+        StorageSystem::restore_state(config, state).expect("captured state is consistent");
     let restore_allocs = allocations() - before;
     assert_eq!(
         restore_allocs, 0,
