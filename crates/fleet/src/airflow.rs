@@ -9,10 +9,13 @@
 //! output does not depend on temperature — so one pass per sync epoch
 //! suffices.
 //!
-//! Two topologies share that contract. [`AirflowGraph::new`] (and the
-//! `serial` / `columns` shorthands) store the coupling lists
-//! explicitly — fine at rack scale, O(n²) memory and time for dense
-//! graphs. [`AirflowGraph::hall`] instead stores a three-level
+//! Three topologies share that contract. [`AirflowGraph::new`] (and the
+//! `columns` shorthand) store the coupling lists explicitly — fine at
+//! rack scale, O(n²) memory and time for dense graphs.
+//! [`AirflowGraph::serial`] stores one stream as its length and one
+//! coefficient and evaluates it with a running prefix: the same
+//! additions, in the same order, as its explicit lists would make.
+//! [`AirflowGraph::hall`] instead stores a three-level
 //! **rack → row → hall hierarchy**: drives within a rack couple at
 //! `k_drive` K/W in bay order, whole racks couple to later racks in
 //! their row at `k_rack` against the *rack total* heat, and whole rows
@@ -47,6 +50,9 @@ pub(crate) struct HallShape {
 enum Topology {
     /// Explicit per-drive `(source, kelvin_per_watt)` lists.
     Flat(Vec<Vec<(usize, f64)>>),
+    /// One serial stream: every drive preheated by each drive before it
+    /// at `k` K/W; the matrix is implied.
+    Serial { drives: usize, k: f64 },
     /// The rack → row → hall hierarchy; the matrix is implied.
     Hierarchy { drives: usize, shape: HallShape },
 }
@@ -145,6 +151,16 @@ impl AirflowGraph {
                     }
                 }
             }
+            Topology::Serial { drives, k } => {
+                if *drives == 0 {
+                    return Err(FleetError::Config("airflow graph has no drives".into()));
+                }
+                if !k.is_finite() || *k < 0.0 {
+                    return Err(FleetError::Config(format!(
+                        "serial coupling must be finite and non-negative, got {k} K/W"
+                    )));
+                }
+            }
             Topology::Hierarchy { drives, shape } => {
                 if *drives == 0 {
                     return Err(FleetError::Config("airflow graph has no drives".into()));
@@ -172,7 +188,8 @@ impl AirflowGraph {
 
     /// One serial airflow path: every drive is preheated by *all* drives
     /// before it, each contributing `1 / stream_w_per_k` kelvin per watt
-    /// — the bays of one row cooled by one stream.
+    /// — the bays of one row cooled by one stream. Stored as its length
+    /// and coefficient, so a graph of any size takes constant memory.
     ///
     /// # Errors
     ///
@@ -183,9 +200,15 @@ impl AirflowGraph {
                 "stream capacity rate must be positive and finite, got {stream_w_per_k}"
             )));
         }
-        let k = 1.0 / stream_w_per_k;
-        let upstream = (0..drives).map(|i| (0..i).map(|j| (j, k)).collect()).collect();
-        Self::new(inlet, upstream)
+        let graph = Self {
+            inlet,
+            topology: Topology::Serial {
+                drives,
+                k: 1.0 / stream_w_per_k,
+            },
+        };
+        graph.validate()?;
+        Ok(graph)
     }
 
     /// Independent serial columns of `per_column` drives each: drive `i`
@@ -224,7 +247,7 @@ impl AirflowGraph {
     pub fn len(&self) -> usize {
         match &self.topology {
             Topology::Flat(upstream) => upstream.len(),
-            Topology::Hierarchy { drives, .. } => *drives,
+            Topology::Serial { drives, .. } | Topology::Hierarchy { drives, .. } => *drives,
         }
     }
 
@@ -270,6 +293,16 @@ impl AirflowGraph {
                 let preheat: f64 = sources.iter().map(|&(j, k)| heats_w[j] * k).sum();
                 self.inlet + TempDelta::new(preheat)
             })),
+            Topology::Serial { k, .. } => {
+                // The flat lists' sum, one term longer per drive: it
+                // starts where `Iterator::sum` starts and adds the same
+                // products in the same order.
+                let mut preheat: f64 = std::iter::empty::<f64>().sum();
+                for &heat in heats_w {
+                    out.push(self.inlet + TempDelta::new(preheat));
+                    preheat += heat * k;
+                }
+            }
             Topology::Hierarchy { shape, .. } => {
                 let (mut racks, mut bases) = (Vec::new(), Vec::new());
                 rack_heats(shape, heats_w, &mut racks);
@@ -286,7 +319,7 @@ impl AirflowGraph {
     /// pass plus a tiny serial per-level reduce.
     pub(crate) fn hall_shape(&self) -> Option<HallShape> {
         match &self.topology {
-            Topology::Flat(_) => None,
+            Topology::Flat(_) | Topology::Serial { .. } => None,
             Topology::Hierarchy { shape, .. } => Some(*shape),
         }
     }
@@ -381,6 +414,46 @@ mod tests {
             AirflowGraph::new(Celsius::new(28.0), vec![vec![], vec![(0, f64::NAN)]]).is_err()
         );
         assert!(AirflowGraph::serial(3, Celsius::new(28.0), 0.0).is_err());
+        assert!(AirflowGraph::serial(0, Celsius::new(28.0), 12.0).is_err());
+        // A restored serial graph is checked as strictly as a built one.
+        for k in [-0.1, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let g = AirflowGraph {
+                inlet: Celsius::new(28.0),
+                topology: Topology::Serial { drives: 3, k },
+            };
+            assert!(matches!(g.validate(), Err(FleetError::Config(_))), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn serial_is_bit_identical_to_its_explicit_lists() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xa1f10e);
+        for (drives, stream) in [(1, 12.0), (2, 0.7), (17, 10.0), (64, 3.3), (300, 1.0)] {
+            let inlet = Celsius::new(rng.gen_range(20.0..35.0));
+            let compact = AirflowGraph::serial(drives, inlet, stream).unwrap();
+            let k = 1.0 / stream;
+            let upstream = (0..drives).map(|i| (0..i).map(|j| (j, k)).collect()).collect();
+            let explicit = AirflowGraph::new(inlet, upstream).unwrap();
+            assert_eq!(compact.len(), explicit.len());
+            for round in 0..20 {
+                let heats: Vec<f64> = (0..drives)
+                    .map(|_| match rng.gen_range(0..8u32) {
+                        0 => 0.0,
+                        1 => rng.gen_range(0.0..1e-6),
+                        _ => rng.gen_range(0.0..40.0),
+                    })
+                    .collect();
+                let (a, b) = (compact.local_ambients(&heats), explicit.local_ambients(&heats));
+                for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+                    assert_eq!(
+                        x.get().to_bits(),
+                        y.get().to_bits(),
+                        "{drives} drives, round {round}, drive {i}: {x} vs {y}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,8 +23,10 @@
 //!
 //! This is the repository's one closed DTM loop. Each bay serves its
 //! requests in fixed control windows, measures the actuator duty they
-//! produced and steps the drive's thermal transient at that operating
-//! point; the coordinator acts on the sensed air at each sync epoch. A
+//! produced and carries the drive's node temperatures across the window
+//! by the exact window map at that operating point
+//! (`diskthermal::Propagator`, one per spindle speed, shared by every
+//! bay); the coordinator acts on the sensed air at each sync epoch. A
 //! single drive under per-window control is a one-bay fleet with one
 //! window per epoch (`windows_per_epoch = 1`), started where the caller
 //! says ([`FleetConfig::start`]).

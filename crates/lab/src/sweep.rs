@@ -371,7 +371,13 @@ mod tests {
 
     #[test]
     fn dtm_level_engages_under_load() {
-        let spec = tiny_spec();
+        // Three 1-s epochs of traffic: DTM time counts only the epochs
+        // served downshifted, so the run must outlast the first
+        // boundary's decision.
+        let spec = SweepSpec {
+            requests: 1_200,
+            ..tiny_spec()
+        };
         // Hot inlet so the envelope binds and speed scaling actuates.
         let on = spec.evaluate(&[400.0, 8.0, 2.0, 44.0, 1.0]).unwrap();
         let off = spec.evaluate(&[400.0, 8.0, 2.0, 44.0, 0.0]).unwrap();

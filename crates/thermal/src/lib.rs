@@ -51,6 +51,7 @@ mod error;
 mod linalg;
 mod model;
 mod params;
+mod propagator;
 mod sensor;
 mod sources;
 mod spec;
@@ -61,6 +62,7 @@ pub use envelope::{ambient_for_envelope, max_rpm_within_envelope, EnvelopeSearch
 pub use error::ThermalError;
 pub use model::{Conductances, NodeTemps, PowerBreakdown, ThermalModel};
 pub use params::ThermalParams;
+pub use propagator::Propagator;
 pub use sensor::{HeldReading, TempSensor};
 pub use sources::{vcm_power_for_platter, viscous_dissipation, VCM_POWER_ANCHORS};
 pub use spec::{DriveThermalSpec, FormFactor, OperatingPoint};

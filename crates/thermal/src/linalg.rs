@@ -1,5 +1,6 @@
 //! Minimal dense linear algebra for the small thermal networks
-//! (4×4 for the steady-state and backward-Euler solves).
+//! (4×4 for the steady-state and backward-Euler solves, and the
+//! symmetric eigensolve behind the exact window map).
 //!
 //! Everything here works on fixed-size stack arrays: the hot integration
 //! loop must not heap-allocate. Factoring and solving are split —
@@ -117,6 +118,87 @@ pub(crate) fn solve<const N: usize>(a: [[f64; N]; N], b: [f64; N]) -> Option<[f6
     Some(lu_factor(a)?.solve(b))
 }
 
+/// Cyclic Jacobi sweeps before [`symmetric_eigen`] gives up. Jacobi
+/// converges quadratically, so a 4×4 needs a handful.
+const JACOBI_SWEEPS: usize = 64;
+
+/// Eigen-decomposes a symmetric matrix by cyclic Jacobi rotations:
+/// returns `(λ, W)` with `S = W·diag(λ)·Wᵀ` and `W` orthonormal, the
+/// eigenvector of `λ[k]` in column `k`. Jacobi keeps small eigenvalues
+/// of a graded matrix to high relative accuracy, which is why the
+/// thermal network's fast air mode and slow casting mode come out of
+/// one 4×4 solve intact.
+///
+/// Returns `None` when an entry is not finite or the sweeps do not
+/// converge.
+pub(crate) fn symmetric_eigen<const N: usize>(
+    mut s: [[f64; N]; N],
+) -> Option<([f64; N], [[f64; N]; N])> {
+    if s.iter().flatten().any(|x| !x.is_finite()) {
+        return None;
+    }
+    let mut w = [[0.0; N]; N];
+    for (i, row) in w.iter_mut().enumerate() {
+        row[i] = 1.0;
+    }
+    for sweep in 0..JACOBI_SWEEPS {
+        let mut rotated = false;
+        for p in 0..N {
+            for q in p + 1..N {
+                let apq = s[p][q];
+                // An off-diagonal entry below the rounding of both
+                // diagonals it couples is already zero to working
+                // precision (the Numerical Recipes threshold).
+                let g = 100.0 * apq.abs();
+                let (dp, dq) = (s[p][p].abs(), s[q][q].abs());
+                if sweep > 3 && dp + g == dp && dq + g == dq {
+                    s[p][q] = 0.0;
+                    s[q][p] = 0.0;
+                    continue;
+                }
+                if apq == 0.0 {
+                    continue;
+                }
+                rotated = true;
+                let theta = (s[q][q] - s[p][p]) / (2.0 * apq);
+                let t = if theta.abs() > 1e150 {
+                    0.5 / theta
+                } else {
+                    theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt())
+                };
+                let c = 1.0 / (t * t + 1.0).sqrt();
+                let sn = t * c;
+                for row in s.iter_mut() {
+                    let (kp, kq) = (row[p], row[q]);
+                    row[p] = c * kp - sn * kq;
+                    row[q] = sn * kp + c * kq;
+                }
+                let (head, tail) = s.split_at_mut(q);
+                for (pk, qk) in head[p].iter_mut().zip(tail[0].iter_mut()) {
+                    let (a, b) = (*pk, *qk);
+                    *pk = c * a - sn * b;
+                    *qk = sn * a + c * b;
+                }
+                s[p][q] = 0.0;
+                s[q][p] = 0.0;
+                for row in w.iter_mut() {
+                    let (kp, kq) = (row[p], row[q]);
+                    row[p] = c * kp - sn * kq;
+                    row[q] = sn * kp + c * kq;
+                }
+            }
+        }
+        if !rotated {
+            let mut lambda = [0.0; N];
+            for (i, l) in lambda.iter_mut().enumerate() {
+                *l = s[i][i];
+            }
+            return lambda.iter().all(|l| l.is_finite()).then_some((lambda, w));
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,6 +312,46 @@ mod tests {
         for b in [[1.0, 0.0, 0.0, 0.0], [0.2, -3.0, 7.5, 0.4], [9.0; 4]] {
             assert_eq!(Some(lu.solve(b)), solve(a, b));
         }
+    }
+
+    #[test]
+    fn jacobi_diagonalizes_a_graded_symmetric_matrix() {
+        // Entries spanning eight decades, like the scaled thermal
+        // network's: S·w = λ·w column by column, W orthonormal.
+        let s = [
+            [4.0e3, -2.0e1, -3.0e-1, -5.0e1],
+            [-2.0e1, 2.5e0, -1.0e-2, 0.0],
+            [-3.0e-1, -1.0e-2, 4.0e-2, -1.0e-3],
+            [-5.0e1, 0.0, -1.0e-3, 9.0e-1],
+        ];
+        let (lambda, w) = symmetric_eigen(s).unwrap();
+        for k in 0..4 {
+            for i in 0..4 {
+                let sw: f64 = (0..4).map(|j| s[i][j] * w[j][k]).sum();
+                assert!((sw - lambda[k] * w[i][k]).abs() < 1e-9 * 4.0e3, "pair {k} row {i}");
+            }
+            for m in 0..4 {
+                let dot: f64 = (0..4).map(|i| w[i][k] * w[i][m]).sum();
+                let want = if k == m { 1.0 } else { 0.0 };
+                assert!((dot - want).abs() < 1e-12, "columns {k}, {m}: {dot}");
+            }
+        }
+        // The trace and determinant survive the rotations.
+        let trace: f64 = lambda.iter().sum();
+        assert!((trace - (4.0e3 + 2.5 + 4.0e-2 + 9.0e-1)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn jacobi_refuses_non_finite_entries() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let s = [[1.0, bad], [bad, 2.0]];
+            assert!(symmetric_eigen(s).is_none(), "{bad}");
+        }
+        assert_eq!(
+            symmetric_eigen([[3.0, 0.0], [0.0, 1.0]]),
+            Some(([3.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])),
+            "a diagonal matrix is its own decomposition"
+        );
     }
 
     /// Matrix entries with a healthy dose of exact zeros, to exercise

@@ -182,6 +182,35 @@ pub(crate) struct SpeedSources {
     vcm_direct: f64,
 }
 
+impl SpeedSources {
+    /// The source vector `b` at `ambient` °C with the actuator drawing
+    /// `vcm_watts`: the body of [`ThermalModel::source`], which the
+    /// exact window map shares.
+    pub(crate) fn vector(&self, ambient: f64, vcm_watts: f64) -> [f64; NODES] {
+        let mut b = [0.0; NODES];
+        b[BASE] += self.base_ambient * ambient;
+        b[AIR] += self.windage_air;
+        b[BASE] += self.windage_base;
+        b[BASE] += self.motor_bearing;
+        b[AIR] += vcm_watts * self.vcm_direct;
+        b[VCM] += vcm_watts * (1.0 - self.vcm_direct);
+        b
+    }
+
+    /// Whether every source and coupling is a finite number.
+    pub(crate) fn is_finite(&self) -> bool {
+        [
+            self.base_ambient,
+            self.windage_air,
+            self.windage_base,
+            self.motor_bearing,
+            self.vcm_direct,
+        ]
+        .iter()
+        .all(|x| x.is_finite())
+    }
+}
+
 /// The assembled thermal model of one drive.
 ///
 /// # Examples
@@ -370,14 +399,7 @@ impl ThermalModel {
     /// power enter the assembly.
     pub(crate) fn source(&self, sources: &SpeedSources, op: OperatingPoint) -> [f64; NODES] {
         let vcm = (self.spec.vcm_power() * op.vcm_duty()).get();
-        let mut b = [0.0; NODES];
-        b[BASE] += sources.base_ambient * self.spec.ambient().get();
-        b[AIR] += sources.windage_air;
-        b[BASE] += sources.windage_base;
-        b[BASE] += sources.motor_bearing;
-        b[AIR] += vcm * sources.vcm_direct;
-        b[VCM] += vcm * (1.0 - sources.vcm_direct);
-        b
+        sources.vector(self.spec.ambient().get(), vcm)
     }
 
     /// The full bit pattern of every scalar that feeds the assembly at

@@ -9,14 +9,18 @@
 //! The implicit step matrix `(C/dt + A)` depends only on the drive's
 //! platter stack and enclosure, its coefficient set, the spindle speed
 //! and the step size. The ambient and the VCM duty enter only the source
-//! vector `b`, so the airflow push-back that moves a bay's ambient every
-//! epoch and the duty that moves every busy control window leave the
-//! matrix alone, and the DTM loops cycle through a handful of speeds.
+//! vector `b`, so a moving ambient or duty leaves the matrix alone, and
+//! the throttling analyses cycle through a handful of speeds.
 //! The simulation therefore keeps a small keyed cache of LU
 //! factorizations ([`StepCache`]): each [`TransientSim::advance`] looks
 //! its factor up once, builds `b` once, and back-substitutes per step
 //! instead of re-assembling and re-eliminating the 4×4 system 600 times
 //! a simulated minute.
+//!
+//! These schemes serve the paper-figure paths (Figures 1 and 7, the
+//! ablations, the calibration). The fleet's bays, whose inputs are
+//! constant within each control window, cross a window exactly instead
+//! ([`crate::Propagator`]).
 
 use crate::error::ThermalError;
 use crate::linalg::{lu_factor, LuFactors};

@@ -70,7 +70,14 @@ pub const CHECKPOINT_MAGIC: &str = "DISKTWIN";
 ///   checkpoint and is validated against the geometry its own
 ///   parameters rebuild. Version-6 bodies carry a spec per member, so
 ///   they fail fast with [`CheckpointError::VersionMismatch`].
-pub const STATE_VERSION: u32 = 7;
+/// - 8: one exact thermal window map per fleet. A serial airflow graph
+///   is stored as its length and coupling coefficient, not as its
+///   n(n−1)/2 couplings, and a restored fleet carries its bays across
+///   each control window by the exact map instead of five 50-ms
+///   backward-Euler steps. A version-7 body carries the coupling lists
+///   and would continue on the other integrator, so it fails fast with
+///   [`CheckpointError::VersionMismatch`].
+pub const STATE_VERSION: u32 = 8;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]

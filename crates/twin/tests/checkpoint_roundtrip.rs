@@ -246,19 +246,21 @@ fn corrupted_checkpoints_are_rejected_before_parsing() {
     ));
 
     // Any other version — future or past — is refused with a typed
-    // error before the JSON parser ever runs. The v2 to v6 cases are the
+    // error before the JSON parser ever runs. The v2 to v7 cases are the
     // real migration hazards: a pre-v3 checkpoint carries a bare stream
     // state where `source` now lives and no scenario schedule, a v3
     // checkpoint carries a sample reservoir where each enclosure's
     // histogram now lives, a v4 checkpoint lacks the sensor, energy and
     // slack-ramp state, a v5 checkpoint nests each bay's drive state
-    // and copies the thermal description into every bay, and a v6
+    // and copies the thermal description into every bay, a v6
     // checkpoint gives every member disk its own spec and no system its
-    // speed, so all must fail loudly, not half-deserialize.
+    // speed, and a v7 checkpoint lists a serial stream's couplings and
+    // was advancing on backward Euler, so all must fail loudly, not
+    // half-deserialize or continue on another integrator.
     let header_end = good.iter().position(|&b| b == b'\n').unwrap();
     let header = String::from_utf8(good[..header_end].to_vec()).unwrap();
     let current = format!(" {STATE_VERSION} ");
-    for old in [1u32, 2, 3, 4, 5, 6, 999] {
+    for old in [1u32, 2, 3, 4, 5, 6, 7, 999] {
         let bumped = header.replacen(&current, &format!(" {old} "), 1);
         assert_ne!(bumped, header, "the version field must be rewritten");
         let mut wrong_version = bumped.into_bytes();

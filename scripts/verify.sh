@@ -48,27 +48,20 @@ done
 echo "==> cargo run --release --bin lab -- table1"
 cargo run --release --bin lab -- table1
 
-echo "==> cargo run --release --bin lab -- run fleet_routing --no-cache"
-# Full scale and recomputed (a warm results/.cache/ would serve the old
-# bytes), then compared: the regenerated artifact must match the
-# committed results/fleet_routing.{json,txt} byte for byte.
-cargo run --release --bin lab -- run fleet_routing --no-cache
-git diff --exit-code -- results/fleet_routing.json results/fleet_routing.txt
-
-echo "==> cargo run --release --bin lab -- run figure4 --no-cache"
-# Figure 4 is the one committed experiment whose arrival queue holds a
+echo "==> cargo run --release --bin lab -- all --threads 2 --no-cache"
+# Every registered experiment at full scale and recomputed (a warm
+# results/.cache/ would serve the old bytes), then compared: every
+# regenerated artifact must match the committed results/ byte for byte.
+# Only manifest.json, which records wall times, may differ. Among what
+# this covers: Figure 4, the one experiment whose arrival queue holds a
 # whole trace (200k requests per cell), a path no perfbench workload
-# runs. Recompute it at full scale and compare it byte for byte too.
-cargo run --release --bin lab -- run figure4 --no-cache
-git diff --exit-code -- results/figure4.json results/figure4.txt
-
-echo "==> cargo run --release --bin lab -- run twin_whatif --no-cache"
-# The what-if fork outcomes carry p95/p99 and Figure 4 CDFs read off
-# the fleet's merged response-time histograms, and every fork restores
-# a version-7 checkpoint state, so this recompute (~0.3 s) also drives
-# the checkpoint path end to end.
-cargo run --release --bin lab -- run twin_whatif --no-cache
-git diff --exit-code -- results/twin_whatif.json results/twin_whatif.txt
+# runs; the fleet, scenario and capacity-plan artifacts, which ride on
+# the exact thermal window map; and twin_whatif, whose what-if forks
+# carry p95/p99 and Figure 4 CDFs read off the fleet's merged
+# response-time histograms and each restore a version-8 checkpoint
+# state, so it drives the checkpoint path end to end.
+cargo run --release --bin lab -- all --threads 2 --no-cache
+git diff --exit-code -- results/ ':(exclude)results/manifest.json'
 
 echo "==> cargo test -q -p disklab --test lab_determinism trace_bytes"
 # Trace determinism: the instrumented event stream must be

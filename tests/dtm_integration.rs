@@ -191,22 +191,18 @@ fn slack_ramp_outperforms_static_envelope_design() {
     assert!(ramp_bay.max_air.get() <= THERMAL_ENVELOPE.get() + 0.35);
 }
 
-/// The single-drive controller this one-bay loop replaced, pinned: for
-/// each policy, the bits of its response mean, p95 and max; peak and
-/// mean air; time over the envelope; mean duty; total time; throttled
-/// (gated or downshifted) and boosted time; and spindle, actuator and
-/// electronics energy with the metered time. The same 1,500-request
-/// seek-heavy stream at 120/s runs on a 2.6" drive.
-///
-/// One field may differ, by one window: the controller counted a window
-/// as throttled when it was served gated, the fleet counts the epoch
-/// after each gate decision. A run whose last decision closes the gate
-/// therefore reads one window more in the fleet, an epoch that never
-/// runs; the last column is that difference.
+/// The one-bay closed loop, pinned: for each policy, the bits of its
+/// response mean, p95 and max; peak and mean air; time over the
+/// envelope; mean duty; total time; throttled (gated or downshifted)
+/// and boosted time; and spindle, actuator and electronics energy with
+/// the metered time. The same 1,500-request seek-heavy stream at 120/s
+/// runs on a 2.6" drive. DTM time counts the windows each state was
+/// actually served in, so a run whose last decision closes the gate
+/// reads no time for the epoch that never runs.
 #[test]
-fn one_bay_fleet_reproduces_the_single_drive_controller() {
+fn one_bay_closed_loop_is_pinned() {
     let hot = |c: f64| Some(NodeTemps::uniform(Celsius::new(c)));
-    type Case = (&'static str, f64, FleetDtmPolicy, Option<NodeTemps>, bool, [u64; 14], f64);
+    type Case = (&'static str, f64, FleetDtmPolicy, Option<NodeTemps>, bool, [u64; 14]);
     let cases: [Case; 5] = [
         (
             "no control",
@@ -215,12 +211,11 @@ fn one_bay_fleet_reproduces_the_single_drive_controller() {
             hot(44.9),
             false,
             [
-                0x3f72c34a8ce9ede6, 0x3f86a7ef9db22d0e, 0x3f8abff466b7fc00, 0x4046aa09c50f2c7b,
-                0x4046a88ddc8f9783, 0x4028800000000000, 0x3fd500e6b23fd38e, 0x4029000000000000,
+                0x3f72c34a8ce9ede6, 0x3f86a7ef9db22d0e, 0x3f8abff466b7fc00, 0x4046aa167142167d,
+                0x4046a8a5546fa028, 0x4028800000000000, 0x3fd500e6b23fd38e, 0x4029000000000000,
                 0x0000000000000000, 0x0000000000000000, 0x409348697ac0acff, 0x402fff5f738d3c47,
                 0x4049000000000000, 0x4029000000000000,
             ],
-            0.0,
         ),
         (
             "VCM-only throttle",
@@ -233,12 +228,11 @@ fn one_bay_fleet_reproduces_the_single_drive_controller() {
             hot(44.8),
             false,
             [
-                0x405769aa31075512, 0x4059ba5e353f7cee, 0x405a4617d1a88af4, 0x40469636675898b8,
-                0x404681de13c9327f, 0x0000000000000000, 0x3f843b2837a8e106, 0x405a800000000000,
+                0x405769aa31075512, 0x4059ba5e353f7cee, 0x405a4617d1a88af4, 0x404697997d03b8e8,
+                0x404681e055fe9047, 0x0000000000000000, 0x3f843b2837a8e106, 0x405a800000000000,
                 0x4059800000000000, 0x0000000000000000, 0x40c47098c4ad8447, 0x401055c3c5bda817,
                 0x407a800000000000, 0x405a800000000000,
             ],
-            0.0,
         ),
         (
             "VCM+RPM throttle",
@@ -251,12 +245,11 @@ fn one_bay_fleet_reproduces_the_single_drive_controller() {
             hot(44.9),
             false,
             [
-                0x403d61666753b643, 0x40420c49ba5e353f, 0x4043000e97581e96, 0x404696b54595369e,
-                0x40466e8d94faf6c9, 0x0000000000000000, 0x3f9a0253fa3e773d, 0x4043600000000000,
-                0x4043000000000000, 0x0000000000000000, 0x408ffd5249beed6b, 0x400eb53fa6344047,
+                0x403d5535d5c335a3, 0x40420c49ba5e353f, 0x4042f968ec905d4e, 0x404698df84080582,
+                0x40466e64b3cefad3, 0x0000000000000000, 0x3f9a0253fa3e773d, 0x4043600000000000,
+                0x4043200000000000, 0x0000000000000000, 0x408f69d84b9fbc22, 0x400eb53fa6344046,
                 0x4063600000000000, 0x4043600000000000,
             ],
-            0.25,
         ),
         (
             "speed scaling",
@@ -270,12 +263,11 @@ fn one_bay_fleet_reproduces_the_single_drive_controller() {
             hot(44.9),
             false,
             [
-                0x3f764f277dd5c144, 0x3f8872b020c49ba6, 0x3f8db9c52e26a000, 0x404696b54595369e,
-                0x404690ed9e03a5dd, 0x0000000000000000, 0x3fd500e6b23fd38e, 0x4029000000000000,
-                0x4029000000000000, 0x0000000000000000, 0x4074acf2a311d626, 0x402fff5f738d3c47,
+                0x3f764f277dd5c144, 0x3f8872b020c49ba6, 0x3f8db9c52e26a000, 0x404698df84080582,
+                0x4046910015f8d500, 0x0000000000000000, 0x3fd500e6b23fd38e, 0x4029000000000000,
+                0x4028800000000000, 0x0000000000000000, 0x4074acf2a311d626, 0x402fff5f738d3c47,
                 0x4049000000000000, 0x4029000000000000,
             ],
-            0.0,
         ),
         (
             "slack ramp, SMART sensor, cold start",
@@ -288,15 +280,15 @@ fn one_bay_fleet_reproduces_the_single_drive_controller() {
             hot(28.0),
             true,
             [
-                0x3f7238491f2dc945, 0x3f86666666666666, 0x3f891b27635d3e00, 0x403cf8d117ca623f,
-                0x403cb9b1b132a5ca, 0x0000000000000000, 0x3fd500e6b23fd38e, 0x4029000000000000,
+                0x3f7238491f2dc945, 0x3f86666666666666, 0x3f891b27635d3e00, 0x403cf8cc9b316a7a,
+                0x403cb9e77136ecc0, 0x0000000000000000, 0x3fd500e6b23fd38e, 0x4029000000000000,
                 0x0000000000000000, 0x4029000000000000, 0x409890c8635dd6f3, 0x402fff5f738d3c47,
                 0x4049000000000000, 0x4029000000000000,
             ],
-            0.0,
         ),
     ];
-    for (label, rpm, dtm, start, smart, pinned, final_gate) in cases {
+    let mut moved = Vec::new();
+    for (label, rpm, dtm, start, smart, pinned) in cases {
         let mut config = one_bay(rpm, dtm, start);
         if smart {
             config.sensor = TempSensor::smart_style();
@@ -312,7 +304,7 @@ fn one_bay_fleet_reproduces_the_single_drive_controller() {
             bay.time_over_envelope.get(),
             bay.mean_duty,
             report.total_time.get(),
-            (bay.time_gated + bay.time_scaled).get() - final_gate,
+            (bay.time_gated + bay.time_scaled).get(),
             bay.time_boosted.get(),
             bay.energy.spindle_j,
             bay.energy.vcm_j,
@@ -320,10 +312,13 @@ fn one_bay_fleet_reproduces_the_single_drive_controller() {
             bay.energy.elapsed.get(),
         ];
         for (k, (g, want)) in got.iter().zip(pinned).enumerate() {
-            let pinned = f64::from_bits(want);
-            assert_eq!(g.to_bits(), want, "{label}: field {k} reads {g}, pinned {pinned}");
+            if g.to_bits() != want {
+                let pinned = f64::from_bits(want);
+                moved.push(format!("{label}: field {k} reads {g}, pinned {pinned}"));
+            }
         }
     }
+    assert!(moved.is_empty(), "{moved:#?}");
 }
 
 #[test]
