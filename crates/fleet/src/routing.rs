@@ -7,7 +7,9 @@
 //! so the choice is deterministic regardless of how many threads advance
 //! the enclosures afterwards.
 
+use crate::coordinator::DriveCtl;
 use serde::{Deserialize, Serialize};
+use std::hint::select_unpredictable;
 use units::Celsius;
 
 /// How the fleet places each incoming request.
@@ -135,64 +137,149 @@ impl Router {
     }
 }
 
-/// An argmax tournament tree over per-drive scores: `best()` is O(1)
-/// and a one-score `update()` is O(log n). Equal scores resolve to the
-/// smaller index — the same winner [`Router::pick`]'s linear scan
-/// chooses — because the left child wins every tie on the way up.
+/// An argmax loser tree over per-drive scores: the winner has the
+/// greatest score, ties to the smaller index — the drive
+/// [`Router::pick`]'s linear scan chooses. `best()` is O(1), and
+/// replacing the winner's score replays only its own path: one match
+/// per level against the loser stored there, with the candidate held in
+/// registers instead of re-reading both children. The routing commit
+/// only ever rescores the drive it just charged — the winner — which is
+/// exactly the update a loser tree is cheap at.
+///
+/// Scores are held as [`ordered`] keys, so a match is one integer
+/// compare and a few conditional moves. Ties need no index compare:
+/// every index in a left subtree is smaller than every index in its
+/// sibling, so a tie goes to the side the match's left entrant comes
+/// from — in a replay, the stored loser is the sibling subtree's
+/// winner, so it takes a tie exactly when the replayed drive climbs
+/// from the right. Which side wins is data, not pattern (a branch on it
+/// would mispredict about every other level), hence
+/// [`select_unpredictable`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ArgBest {
-    cap: usize,
-    /// 1-based segment tree; leaf `i` lives at `cap + i`.
-    tree: Vec<(f64, usize)>,
+    /// Each leaf's current key; leaves past the last drive hold
+    /// `-inf`, and sit right of every drive, so they never win.
+    key: Vec<u64>,
+    /// Slot `k` in `1..cap` of the 1-based tree whose leaf `i` sits at
+    /// `cap + i` holds the leaf that lost the match played at node `k`;
+    /// slot 0 holds the overall winner.
+    node: Vec<usize>,
+    /// Build scratch: each node's winning leaf.
+    win: Vec<usize>,
+}
+
+/// `score` as an integer whose unsigned order is the scores' numeric
+/// order: negative scores flip every bit, the others only the sign bit.
+/// `+ 0.0` folds −0 into +0, which `>` treats as equal too. Scores are
+/// never NaN: slack is clamped by `max` and a queue depth is finite.
+fn ordered(score: f64) -> u64 {
+    let bits = (score + 0.0).to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
 }
 
 impl ArgBest {
-    /// Reloads every score (O(n)), growing the tree as needed. Indices
-    /// beyond `vals` pad with `-inf` on the right, so they never beat a
-    /// real drive (ties go left).
-    fn reset(&mut self, vals: &[f64]) {
-        assert!(!vals.is_empty(), "routing needs at least one drive");
-        let cap = vals.len().next_power_of_two();
-        if self.cap != cap {
-            self.cap = cap;
-            self.tree.clear();
-            self.tree.resize(2 * cap, (f64::NEG_INFINITY, usize::MAX));
+    /// Reloads every drive's key (O(n)) and replays every match.
+    fn reset(&mut self, keys: impl Iterator<Item = u64>) {
+        self.key.clear();
+        self.key.extend(keys);
+        let n = self.key.len();
+        assert!(n > 0, "routing needs at least one drive");
+        let cap = n.next_power_of_two();
+        self.key.resize(cap, ordered(f64::NEG_INFINITY));
+        self.node.clear();
+        self.node.resize(cap, 0);
+        self.win.clear();
+        self.win.resize(cap, 0);
+        self.win.extend(0..cap);
+        for k in (1..cap).rev() {
+            let (l, r) = (self.win[2 * k], self.win[2 * k + 1]);
+            // `l` has the smaller index, so `r` wins only outright.
+            let r_wins = self.key[r] > self.key[l];
+            self.win[k] = select_unpredictable(r_wins, r, l);
+            self.node[k] = select_unpredictable(r_wins, l, r);
         }
-        for (slot, filler) in self.tree[cap..].iter_mut().zip(
-            vals.iter()
-                .copied()
-                .enumerate()
-                .map(|(i, v)| (v, i))
-                .chain(std::iter::repeat((f64::NEG_INFINITY, usize::MAX))),
-        ) {
-            *slot = filler;
+        self.node[0] = self.win[1];
+    }
+
+    /// The winning drive.
+    fn best(&self) -> usize {
+        self.node[0]
+    }
+
+    /// The winning drive's key.
+    fn best_key(&self) -> u64 {
+        self.key[self.node[0]]
+    }
+
+    /// Replaces the winner's key with `cand_key` and replays its path
+    /// to the root.
+    fn replace_best(&mut self, mut cand_key: u64) {
+        let mut cand = self.best();
+        self.key[cand] = cand_key;
+        let mut child = self.node.len() + cand;
+        while child > 1 {
+            let k = child / 2;
+            let other = self.node[k];
+            let other_key = self.key[other];
+            // No key is 0 (that would be a NaN's), so `>=` on a
+            // right-hand climb is `> cand_key - 1`.
+            let other_wins = other_key > cand_key - (child & 1) as u64;
+            self.node[k] = select_unpredictable(other_wins, cand, other);
+            cand = select_unpredictable(other_wins, other, cand);
+            cand_key = select_unpredictable(other_wins, other_key, cand_key);
+            child = k;
         }
-        for node in (1..cap).rev() {
-            self.tree[node] = Self::wins(self.tree[2 * node], self.tree[2 * node + 1]);
+        self.node[0] = cand;
+    }
+}
+
+/// A least-queue score: the shorter the queue, the higher.
+fn queue_score(queue: u64) -> f64 {
+    -(queue as f64)
+}
+
+/// A thermal-aware score: thermal slack per queued request.
+fn thermal_score(slack: f64, queue: u64) -> f64 {
+    slack / (1.0 + queue as f64)
+}
+
+/// What the routing commit needs of one drive, staged where the drive's
+/// epoch-end air and queue depth are at hand — the fleet's pass B, one
+/// worker per chunk of bays — so the serial commit neither scores a
+/// drive nor divides in front of a placement.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct DriveScore {
+    /// Thermal slack against the envelope (thermal-aware only).
+    slack: f64,
+    /// The drive's key as staged, and its key once charged one more
+    /// request (the routing commit keeps the latter a placement ahead).
+    now: u64,
+    next: u64,
+}
+
+impl DriveScore {
+    /// Stages a drive at `air` with `queue` requests held against it.
+    pub fn new(policy: RoutingPolicy, air: Celsius, queue: u64) -> Self {
+        match policy {
+            RoutingPolicy::RoundRobin => Self::default(),
+            RoutingPolicy::LeastQueue => Self::by_queue(queue),
+            RoutingPolicy::ThermalAware { envelope } => {
+                let slack = (envelope - air).get().max(0.0);
+                Self {
+                    slack,
+                    now: ordered(thermal_score(slack, queue)),
+                    next: ordered(thermal_score(slack, queue + 1)),
+                }
+            }
         }
     }
 
-    /// Replaces drive `i`'s score and rebalances its path to the root.
-    fn update(&mut self, i: usize, val: f64) {
-        let mut node = self.cap + i;
-        self.tree[node] = (val, i);
-        while node > 1 {
-            node /= 2;
-            self.tree[node] = Self::wins(self.tree[2 * node], self.tree[2 * node + 1]);
-        }
-    }
-
-    /// The winning drive and its score.
-    fn best(&self) -> (usize, f64) {
-        let (val, i) = self.tree[1];
-        (i, val)
-    }
-
-    fn wins(left: (f64, usize), right: (f64, usize)) -> (f64, usize) {
-        if right.0 > left.0 {
-            right
-        } else {
-            left
+    /// A least-queue drive with `queue` requests held against it.
+    fn by_queue(queue: u64) -> Self {
+        Self {
+            slack: 0.0,
+            now: ordered(queue_score(queue)),
+            next: ordered(queue_score(queue + 1)),
         }
     }
 }
@@ -209,6 +296,76 @@ enum CommitMode {
     ThermalAware,
 }
 
+/// One chunk of drives' routing proposal, made by the fleet's pass B on
+/// the worker that owns the chunk: a loser tree over the chunk's staged
+/// scores, and the chunk's next placements drawn from it ahead, in
+/// order, with the queue depths and next keys that drawing leaves. The
+/// commit takes a chunk's placements in order and draws more from the
+/// same tree only when the chunk runs out.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ChunkRoute {
+    tree: ArgBest,
+    /// The chunk's queue depths and next keys, advanced by each draw.
+    queue: Vec<u64>,
+    next: Vec<u64>,
+    /// Drawn placements: each one's key and chunk-local drive.
+    run: Vec<(u64, usize)>,
+    /// Placements the commit charged to this chunk this epoch, which is
+    /// also the position of the next one in `run`.
+    taken: usize,
+}
+
+impl ChunkRoute {
+    /// How many placements the chunk proposes: what the commit took
+    /// from it last epoch, a quarter more, and 8 — so a chunk whose
+    /// share of the traffic holds runs out only when the traffic grows.
+    pub fn ahead(&self) -> usize {
+        self.taken + self.taken / 4 + 8
+    }
+
+    /// Builds the chunk's tree from its drives' staged `scores` and
+    /// `queues` and draws `draws` placements (at least one: the merge
+    /// needs every chunk's head), scored under `policy`. Round-robin
+    /// routes without scores, so it proposes nothing.
+    pub fn propose(
+        &mut self,
+        policy: RoutingPolicy,
+        scores: &[DriveScore],
+        queues: &[u64],
+        draws: usize,
+    ) {
+        if policy == RoutingPolicy::RoundRobin {
+            return;
+        }
+        self.taken = 0;
+        self.tree.reset(scores.iter().map(|s| s.now));
+        self.queue.clear();
+        self.queue.extend_from_slice(queues);
+        self.next.clear();
+        self.next.extend(scores.iter().map(|s| s.next));
+        self.run.clear();
+        let thermal = matches!(policy, RoutingPolicy::ThermalAware { .. });
+        for _ in 0..draws.max(1) {
+            self.draw(thermal, scores);
+        }
+    }
+
+    /// Appends the chunk's next placement to its run and charges it.
+    /// Only a usable drive wins (an unusable one sits at `-inf`, below
+    /// any usable score), so its next key is a real score.
+    fn draw(&mut self, thermal: bool, scores: &[DriveScore]) {
+        let i = self.tree.best();
+        self.run.push((self.tree.best_key(), i));
+        self.queue[i] += 1;
+        self.tree.replace_best(self.next[i]);
+        self.next[i] = ordered(if thermal {
+            thermal_score(scores[i].slack, self.queue[i] + 1)
+        } else {
+            queue_score(self.queue[i] + 1)
+        });
+    }
+}
+
 /// The routing half of the two-phase epoch commit: per-drive scores are
 /// *proposed* from the epoch-start snapshot (air, gating, and — for
 /// thermal slack — the envelope are all frozen for the epoch), then
@@ -217,21 +374,71 @@ enum CommitMode {
 /// identical to repeated `pick` calls by the equivalence test below:
 /// within an epoch only queue depths move, and they move exactly as the
 /// rescan would see them.
+///
+/// The tree work runs where the scores are staged, in the fleet's
+/// pass B: each worker builds its chunk's tree and draws the chunk's
+/// proposal ([`ChunkRoute`]). Each chunk's placements come out in the
+/// order one tree over every drive would give them, so the commit only
+/// merges the chunks' runs, by a small tree over their heads, and draws
+/// more from a chunk's own tree when its run is spent. Chunks keep drive
+/// order, so a tie between chunks goes to the left one — the smaller
+/// index — exactly as inside a tree. When a gate or the least-queue
+/// fallback changes a key, or nothing staged the chunks, the commit
+/// proposes one chunk of every drive itself and draws as it places.
+/// Either way a drive's key for its next placement is computed a
+/// placement ahead, so the division behind a thermal score runs beside
+/// the replay rather than in front of it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RoutingScratch {
-    tree: ArgBest,
-    /// Per-drive thermal slack, fixed across the epoch.
-    slack: Vec<f64>,
-    /// Score staging buffer for `reset`.
-    vals: Vec<f64>,
+    /// The chunks' proposals; the first `starts.len()` are live, the
+    /// rest keep their buffers for when the chunk count grows back.
+    chunks: Vec<ChunkRoute>,
+    /// Each live chunk's first drive; every chunk but the last holds
+    /// `chunk` drives, of `drives` in all.
+    starts: Vec<usize>,
+    chunk: usize,
+    drives: usize,
+    /// Whether pass B staged the live chunks for the next epoch: set by
+    /// [`Self::chunks`], spent by [`Self::begin`].
+    staged: bool,
+    /// Placements in the current (or last) epoch.
+    placed: usize,
+    /// The chunks' current heads.
+    top: ArgBest,
     mode: CommitMode,
     all_gated: bool,
 }
 
 impl RoutingScratch {
-    /// Stages an epoch: scores every drive against the epoch-start
-    /// snapshot. `queues[i]` counts requests held against drive `i`
-    /// (in flight + pending); `place` keeps it current as it routes.
+    /// One proposal per chunk of `chunk` drives out of `n` (the last
+    /// may be short), for the caller to fill through
+    /// [`ChunkRoute::propose`] before the next [`Self::begin`]. A chunk
+    /// of the same split keeps last epoch's count; under a new split
+    /// each chunk starts from its drives' share of the placements.
+    pub fn chunks(&mut self, n: usize, chunk: usize) -> &mut [ChunkRoute] {
+        let chunk = chunk.max(1);
+        let resplit = (n, chunk) != (self.drives, self.chunk);
+        (self.drives, self.chunk) = (n, chunk);
+        self.starts.clear();
+        self.starts.extend((0..n).step_by(chunk));
+        let live = self.starts.len();
+        if self.chunks.len() < live {
+            self.chunks.resize_with(live, ChunkRoute::default);
+        }
+        if resplit {
+            for (c, &start) in self.chunks[..live].iter_mut().zip(&self.starts) {
+                c.taken = self.placed * chunk.min(n - start) / n.max(1);
+            }
+        }
+        self.staged = true;
+        &mut self.chunks[..live]
+    }
+
+    /// Stages an epoch from the drives' staged `scores` (see
+    /// [`DriveScore::new`]) and queue depths `queues` (in flight +
+    /// pending); `place` charges each placement to `queues`. `ctl` is
+    /// the coordinator's committed state, whose gate the epoch's
+    /// placements respect.
     ///
     /// # Panics
     ///
@@ -239,89 +446,94 @@ impl RoutingScratch {
     pub fn begin(
         &mut self,
         policy: RoutingPolicy,
-        air: &[Celsius],
+        scores: &mut [DriveScore],
         queues: &[u64],
-        gated: &[bool],
+        ctl: &[DriveCtl],
     ) {
-        assert!(!gated.is_empty(), "routing needs at least one drive");
-        assert!(air.len() == gated.len() && queues.len() == gated.len());
-        self.all_gated = gated.iter().all(|&g| g);
-        let usable = |i: usize| self.all_gated || !gated[i];
-        self.vals.clear();
-        match policy {
-            RoutingPolicy::RoundRobin => {
-                self.mode = CommitMode::RoundRobin;
-                return;
-            }
-            RoutingPolicy::LeastQueue => {
-                self.mode = CommitMode::LeastQueue;
-            }
-            RoutingPolicy::ThermalAware { envelope } => {
-                self.slack.clear();
-                self.slack
-                    .extend(air.iter().map(|&a| (envelope - a).get().max(0.0)));
-                // `pick` falls back to least-queue when the best score
-                // is ≤ 0, i.e. when no usable drive has slack. Slack
-                // and gating are epoch-start facts, so the fallback
-                // decision holds for the whole epoch.
-                let any_slack = (0..gated.len()).any(|i| usable(i) && self.slack[i] > 0.0);
-                self.mode = if any_slack {
+        assert!(!ctl.is_empty(), "routing needs at least one drive");
+        assert!(scores.len() == ctl.len() && queues.len() == ctl.len());
+        let n = scores.len();
+        let staged = std::mem::take(&mut self.staged) && self.drives == n;
+        let all_gated = ctl.iter().all(|c| c.gated);
+        self.all_gated = all_gated;
+        self.placed = 0;
+        let mut scoring = policy;
+        self.mode = match policy {
+            RoutingPolicy::RoundRobin => CommitMode::RoundRobin,
+            RoutingPolicy::LeastQueue => CommitMode::LeastQueue,
+            // `pick` falls back to least-queue when the best score is
+            // ≤ 0, i.e. when no usable drive has slack. Slack and gating
+            // are epoch-start facts, so the fallback decision holds for
+            // the whole epoch, and its keys are restaged here.
+            RoutingPolicy::ThermalAware { .. } => {
+                let usable = |c: &DriveCtl| all_gated || !c.gated;
+                if ctl.iter().zip(&*scores).any(|(c, s)| usable(c) && s.slack > 0.0) {
                     CommitMode::ThermalAware
                 } else {
+                    for (s, &q) in scores.iter_mut().zip(queues) {
+                        *s = DriveScore::by_queue(q);
+                    }
+                    scoring = RoutingPolicy::LeastQueue;
                     CommitMode::LeastQueue
-                };
+                }
+            }
+        };
+        if self.mode == CommitMode::RoundRobin {
+            return;
+        }
+        // Every drive is usable when none, or all, are gated; otherwise
+        // a gated drive sits at `-inf` for the epoch.
+        let gates = !all_gated && ctl.iter().any(|c| c.gated);
+        if gates {
+            for (s, c) in scores.iter_mut().zip(ctl) {
+                if c.gated {
+                    s.now = ordered(f64::NEG_INFINITY);
+                }
             }
         }
-        match self.mode {
-            CommitMode::LeastQueue => self.vals.extend(
-                queues
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &q)| if usable(i) { -(q as f64) } else { f64::NEG_INFINITY }),
-            ),
-            CommitMode::ThermalAware => self.vals.extend(queues.iter().enumerate().map(
-                |(i, &q)| {
-                    if usable(i) {
-                        self.slack[i] / (1.0 + q as f64)
-                    } else {
-                        f64::NEG_INFINITY
-                    }
-                },
-            )),
-            CommitMode::RoundRobin => unreachable!("returned above"),
+        if !staged || gates || scoring != policy {
+            self.chunks(n, n)[0].propose(scoring, scores, queues, 1);
+            self.staged = false;
         }
-        self.tree.reset(&self.vals);
+        let live = &self.chunks[..self.starts.len()];
+        self.top.reset(live.iter().map(|c| c.run[0].0));
     }
 
     /// Places one request: returns the chosen drive and charges it one
-    /// queued request. O(log n) (amortized O(1) for round-robin).
-    pub fn place(&mut self, router: &mut Router, gated: &[bool], queues: &mut [u64]) -> usize {
-        match self.mode {
-            CommitMode::RoundRobin => {
-                let n = gated.len();
-                for step in 0..n {
-                    let i = (router.next_rr + step) % n;
-                    if self.all_gated || !gated[i] {
-                        router.next_rr = (i + 1) % n;
-                        queues[i] += 1;
-                        return i;
-                    }
-                }
-                unreachable!("all_gated admits every drive")
+    /// queued request. O(log chunks) while the chunks' proposals last,
+    /// O(log n) for each placement drawn here, amortized O(1) for
+    /// round-robin.
+    pub fn place(
+        &mut self,
+        router: &mut Router,
+        ctl: &[DriveCtl],
+        scores: &[DriveScore],
+        queues: &mut [u64],
+    ) -> usize {
+        let i = if self.mode == CommitMode::RoundRobin {
+            let n = ctl.len();
+            let i = (0..n)
+                .map(|step| (router.next_rr + step) % n)
+                .find(|&i| self.all_gated || !ctl[i].gated)
+                .expect("all_gated admits every drive");
+            router.next_rr = (i + 1) % n;
+            i
+        } else {
+            let c = self.top.best();
+            let start = self.starts[c];
+            let route = &mut self.chunks[c];
+            let (_, local) = route.run[route.taken];
+            route.taken += 1;
+            if route.taken == route.run.len() {
+                let end = (start + self.chunk).min(scores.len());
+                route.draw(self.mode == CommitMode::ThermalAware, &scores[start..end]);
             }
-            CommitMode::LeastQueue => {
-                let (i, _) = self.tree.best();
-                queues[i] += 1;
-                self.tree.update(i, -(queues[i] as f64));
-                i
-            }
-            CommitMode::ThermalAware => {
-                let (i, _) = self.tree.best();
-                queues[i] += 1;
-                self.tree.update(i, self.slack[i] / (1.0 + queues[i] as f64));
-                i
-            }
-        }
+            self.top.replace_best(route.run[route.taken].0);
+            start + local
+        };
+        queues[i] += 1;
+        self.placed += 1;
+        i
     }
 }
 
@@ -378,7 +590,10 @@ mod tests {
         // For every policy, over many random epoch-start snapshots, the
         // O(log n) commit path and the O(n) rescan must emit the same
         // placement sequence — including ties, gating, zero slack, the
-        // all-gated degenerate case, and the least-queue fallback.
+        // all-gated degenerate case, and the least-queue fallback — on
+        // fleets of 1 to 40 drives (loser trees of 1 to 64 leaves, so
+        // padding and every depth up to six levels), from one tree and
+        // from chunk proposals staged at a random chunk size.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut rand = move || {
             x ^= x << 13;
@@ -394,7 +609,7 @@ mod tests {
             },
         ];
         for trial in 0..200 {
-            let n = 1 + (rand() % 9) as usize;
+            let n = 1 + (rand() % 40) as usize;
             let all_gated = trial % 17 == 0;
             let drives: Vec<DriveSnapshot> = (0..n)
                 .map(|_| DriveSnapshot {
@@ -402,29 +617,54 @@ mod tests {
                     // forces exact score ties and zero-slack drives.
                     air: Celsius::new(40.0 + (rand() % 14) as f64 * 0.5),
                     queue: rand() % 4,
-                    gated: all_gated || rand() % 4 == 0,
+                    // Half the trials gate nothing, where the staged
+                    // chunk trees serve instead of a rebuilt tree.
+                    gated: all_gated || (trial % 2 == 1 && rand() % 4 == 0),
                 })
                 .collect();
             for policy in policies {
                 let mut reference = Router::new(policy).with_cursor((rand() % n as u64) as usize);
                 let mut fast = reference.clone();
                 let mut snaps = drives.clone();
-                let air: Vec<Celsius> = snaps.iter().map(|d| d.air).collect();
                 let mut queues: Vec<u64> = snaps.iter().map(|d| d.queue).collect();
-                let gated: Vec<bool> = snaps.iter().map(|d| d.gated).collect();
+                let mut scores: Vec<DriveScore> =
+                    snaps.iter().map(|d| DriveScore::new(policy, d.air, d.queue)).collect();
+                let ctl: Vec<DriveCtl> = snaps
+                    .iter()
+                    .map(|d| DriveCtl { gated: d.gated, ..DriveCtl::default() })
+                    .collect();
                 let mut scratch = RoutingScratch::default();
-                scratch.begin(policy, &air, &queues, &gated);
-                for step in 0..24 {
+                scratch.begin(policy, &mut scores, &queues, &ctl);
+                // The same epoch from chunk proposals staged the way the
+                // fleet's pass B stages them, at a random chunk size and
+                // proposal length, so runs are spent and drawn again.
+                let mut chunked = RoutingScratch::default();
+                let mut chunk_fast = reference.clone();
+                let mut chunk_scores = scores.clone();
+                let mut chunk_queues = queues.clone();
+                let chunk = 1 + (rand() % n as u64) as usize;
+                let parts = chunk_scores.chunks(chunk).zip(chunk_queues.chunks(chunk));
+                for (route, (s, q)) in chunked.chunks(n, chunk).iter_mut().zip(parts) {
+                    route.propose(policy, s, q, (rand() % 24) as usize);
+                }
+                chunked.begin(policy, &mut chunk_scores, &chunk_queues, &ctl);
+                for step in 0..96 {
                     let want = reference.pick(&snaps);
                     snaps[want].queue += 1;
-                    let got = scratch.place(&mut fast, &gated, &mut queues);
+                    let got = scratch.place(&mut fast, &ctl, &scores, &mut queues);
                     assert_eq!(
                         got, want,
                         "trial {trial} step {step} policy {policy:?} diverged"
                     );
                     assert_eq!(queues[got], snaps[got].queue, "queue accounting diverged");
+                    let got = chunked.place(&mut chunk_fast, &ctl, &chunk_scores, &mut chunk_queues);
+                    assert_eq!(
+                        got, want,
+                        "trial {trial} step {step} policy {policy:?} chunks of {chunk} diverged"
+                    );
                 }
                 assert_eq!(fast.cursor(), reference.cursor(), "cursors must track");
+                assert_eq!(chunk_fast.cursor(), reference.cursor(), "cursors must track");
             }
         }
     }
