@@ -57,7 +57,7 @@ impl core::fmt::Display for SimError {
             } => write!(
                 f,
                 "request [{lba}, {}) exceeds device capacity {capacity}",
-                lba + *sectors as u64
+                lba.saturating_add(u64::from(*sectors))
             ),
             Self::BadConfig(msg) => write!(f, "bad system configuration: {msg}"),
             Self::AlreadyDegraded { device } => {

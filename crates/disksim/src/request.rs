@@ -73,9 +73,11 @@ impl Request {
         }
     }
 
-    /// One past the last LBA touched.
+    /// One past the last LBA touched. It saturates at `u64::MAX`, an
+    /// end no device reaches, so a request that would run past the LBA
+    /// space fails every capacity check instead of wrapping round.
     pub fn end_lba(&self) -> u64 {
-        self.lba + self.sectors as u64
+        self.lba.saturating_add(u64::from(self.sectors))
     }
 
     /// Payload size in bytes.

@@ -783,6 +783,191 @@ pub struct SystemState {
     failed_disk: Option<u32>,
 }
 
+/// Set in a slot's zone index while [`SystemState::check_slabs`] runs,
+/// marking the slot as on a list: no zone index has this bit.
+const LISTED: u32 = 1 << 31;
+/// A freed parent's `remaining` while [`SystemState::check_slabs`] runs:
+/// a freed parent awaits nothing, so its count is always zero.
+const FREED: u32 = u32::MAX;
+
+impl SystemState {
+    /// Checks what the event loop relies on and never re-checks:
+    ///
+    /// - the clock is finite and not negative, and no more requests
+    ///   finished than were submitted; those in flight are the pending
+    ///   arrivals plus the live parents;
+    /// - each pending arrival is keyed by its own arrival time, and each
+    ///   buffered completion's times lie in order up to the clock;
+    /// - every slot of the slot slab is on exactly one list, a disk
+    ///   queue or the free list; each queue's `prev` links mirror its
+    ///   `next` links, its tail is its last slot and its length is its
+    ///   slot count; each queued operation is a non-empty run inside
+    ///   the disk, at the location its LBA resolves to;
+    /// - the parent free list names distinct parents that await
+    ///   nothing; each gating operation, queued or in service, names a
+    ///   live parent (parity work that gates nothing may outlive its
+    ///   parent), and each live parent's `remaining` counts its
+    ///   outstanding gating operations;
+    /// - an in-service operation finishes at a finite time no earlier
+    ///   than the clock, and a live parent arrived and first started no
+    ///   later than the clock.
+    ///
+    /// One pass over each slab and one more to clear the marks it sets
+    /// in place ([`LISTED`], [`FREED`]), so restoring allocates
+    /// nothing. On an error the marks stay: the state is discarded.
+    fn check_slabs(&mut self, spec: &DiskSpec) -> Result<(), String> {
+        let clock = self.clock;
+        if !(clock.get().is_finite() && clock.get() >= 0.0) {
+            return Err(format!("clock {clock} is not finite and non-negative"));
+        }
+        if self.finished > self.submitted {
+            return Err("more requests finished than submitted".into());
+        }
+        let keyed_off =
+            |(key, r): &(TimeKey, Request)| key.time().to_bits() != r.arrival.get().to_bits();
+        if self.arrivals.iter().any(keyed_off) {
+            return Err("a pending arrival is keyed off its arrival time".into());
+        }
+        for c in &self.completions {
+            let times = [c.request.arrival, c.start, c.finish, clock].map(Seconds::get);
+            if !(times[0].is_finite() && times.windows(2).all(|w| w[0] <= w[1])) {
+                return Err("a buffered completion's times are out of order".into());
+            }
+        }
+        let Self {
+            slots,
+            slot_free,
+            disk_queues,
+            in_service,
+            parents,
+            parent_free,
+            ..
+        } = self;
+        if slots.iter().any(|s| s.loc.zone & LISTED != 0) {
+            return Err("a slot's zone is out of range".into());
+        }
+        if parents.iter().any(|p| p.remaining == FREED) {
+            return Err("a parent awaits too many operations".into());
+        }
+        for &i in parent_free.iter() {
+            match parents.get_mut(i as usize) {
+                Some(p) if p.remaining == 0 => p.remaining = FREED,
+                _ => {
+                    return Err(format!(
+                        "parent {i} is out of range, freed twice or awaited"
+                    ))
+                }
+            }
+        }
+        if parents.iter().any(|p| p.remaining == 0) {
+            return Err("a live parent awaits no operation".into());
+        }
+        // Each gating operation takes one from its live parent's count.
+        let gate = |parents: &mut [Parent], phys: &PhysRequest| {
+            if !phys.gates_completion {
+                return Ok(());
+            }
+            let p = phys.parent_slot;
+            match parents.get_mut(p as usize) {
+                Some(parent) if parent.remaining != FREED => {
+                    parent.remaining = parent.remaining.checked_sub(1).ok_or_else(|| {
+                        format!("parent {p} has more gating operations than it awaits")
+                    })?;
+                    Ok(())
+                }
+                _ => Err(format!(
+                    "a gating operation's parent {p} is free or out of range"
+                )),
+            }
+        };
+        let geometry = spec.geometry();
+        let sectors = geometry.total_sectors().get();
+        for q in disk_queues.iter() {
+            let (mut prev, mut cur, mut len) = (NIL, q.head, 0u32);
+            while cur != NIL {
+                let slot = match slots.get_mut(cur as usize) {
+                    Some(slot) if len < q.len && slot.loc.zone & LISTED == 0 => slot,
+                    _ => return Err(format!("disk queue reaches slot {cur} out of turn")),
+                };
+                if slot.prev != prev {
+                    return Err(format!("slot {cur}'s prev link does not mirror its queue"));
+                }
+                let phys = slot.phys;
+                let end = phys.lba.checked_add(phys.sectors.into());
+                let inside = phys.sectors > 0 && end.is_some_and(|e| e <= sectors);
+                if !inside || geometry.locate(phys.lba) != Some(slot.loc) {
+                    return Err(format!("slot {cur} is not a run at its own location"));
+                }
+                slot.loc.zone |= LISTED;
+                (prev, cur, len) = (cur, slot.next, len + 1);
+                gate(parents, &phys)?;
+            }
+            if len != q.len || q.tail != prev {
+                return Err("disk queue length or tail mismatch".into());
+            }
+        }
+        for &i in slot_free.iter() {
+            match slots.get_mut(i as usize) {
+                Some(slot) if slot.loc.zone & LISTED == 0 => slot.loc.zone |= LISTED,
+                _ => return Err(format!("free slot {i} is out of range or on two lists")),
+            }
+        }
+        for (finish, phys) in in_service.iter().flatten() {
+            if !(finish.get().is_finite() && *finish >= clock) {
+                return Err(format!(
+                    "in-service finish {finish} is not finite or before the clock"
+                ));
+            }
+            gate(parents, phys)?;
+        }
+        let mut live = 0;
+        for parent in parents.iter_mut() {
+            match parent.remaining {
+                FREED => parent.remaining = 0,
+                0 => {
+                    live += 1;
+                    let start = parent.first_start.unwrap_or(parent.request.arrival);
+                    if !(parent.request.arrival <= start && start <= clock) {
+                        return Err("a live parent arrived or started after the clock".into());
+                    }
+                }
+                n => return Err(format!("a live parent awaits {n} more operations")),
+            }
+        }
+        if self.submitted - self.finished != self.arrivals.len() as u64 + live {
+            return Err(format!(
+                "{} requests in flight, but {} pending arrivals and {live} live parents",
+                self.submitted - self.finished,
+                self.arrivals.len()
+            ));
+        }
+        // Clear the marks: every slot was listed once, and each live
+        // parent awaits its gating operations again.
+        for slot in slots.iter_mut() {
+            if slot.loc.zone & LISTED == 0 {
+                return Err("a slot is on no list".into());
+            }
+            slot.loc.zone &= !LISTED;
+        }
+        for q in disk_queues.iter() {
+            let mut cur = q.head;
+            while cur != NIL {
+                let phys = slots[cur as usize].phys;
+                if phys.gates_completion {
+                    parents[phys.parent_slot as usize].remaining += 1;
+                }
+                cur = slots[cur as usize].next;
+            }
+        }
+        for (_, phys) in in_service.iter().flatten() {
+            if phys.gates_completion {
+                parents[phys.parent_slot as usize].remaining += 1;
+            }
+        }
+        Ok(())
+    }
+}
+
 impl StorageSystem {
     /// Captures the complete dynamic state for checkpointing.
     pub fn capture_state(&self) -> SystemState {
@@ -815,10 +1000,13 @@ impl StorageSystem {
     /// As [`Self::new`], and [`SimError::BadConfig`] when the state does
     /// not fit `config` (per-disk vectors of another length, a failed
     /// member [`Self::fail_disk`] would refuse), its speed is not
-    /// positive and finite, or its internal references are inconsistent
-    /// (index out of range, broken queue links, more requests finished
-    /// than submitted) — the shapes a corrupted checkpoint body produces.
-    pub fn restore_state(config: SystemConfig, state: SystemState) -> Result<Self, SimError> {
+    /// positive and finite, or its slabs do not hold together: a slot on
+    /// no list or on two, queue links that do not mirror, a gating
+    /// operation without a live parent, a parent awaiting another count
+    /// of operations, a time out of order with the clock — the shapes a
+    /// corrupted checkpoint body produces. The checks take one pass over
+    /// each slab.
+    pub fn restore_state(config: SystemConfig, mut state: SystemState) -> Result<Self, SimError> {
         let logical_sectors = config.logical_sectors()?;
         let n = config.disks as usize;
         if state.disks.len() != n || state.disk_queues.len() != n || state.in_service.len() != n {
@@ -835,35 +1023,9 @@ impl StorageSystem {
                 state.rpm.get()
             )));
         }
-        if state.finished > state.submitted {
-            return Err(SimError::BadConfig(
-                "more requests finished than submitted".into(),
-            ));
-        }
-        let slots = state.slots.len() as u32;
-        if state.slot_free.iter().any(|&i| i >= slots) {
-            return Err(SimError::BadConfig("slot free list out of range".into()));
-        }
-        let parents = state.parents.len() as u32;
-        if state.parent_free.iter().any(|&i| i >= parents) {
-            return Err(SimError::BadConfig("parent free list out of range".into()));
-        }
-        // Walk every disk queue: each link must stay in the slab and
-        // the walk must visit exactly `len` slots.
-        for q in &state.disk_queues {
-            let mut cur = q.head;
-            let mut seen = 0u32;
-            while cur != NIL {
-                if cur >= slots || seen >= q.len {
-                    return Err(SimError::BadConfig("broken disk queue links".into()));
-                }
-                seen += 1;
-                cur = state.slots[cur as usize].next;
-            }
-            if seen != q.len {
-                return Err(SimError::BadConfig("disk queue length mismatch".into()));
-            }
-        }
+        state
+            .check_slabs(&config.spec)
+            .map_err(SimError::BadConfig)?;
         let mut system = Self {
             config,
             rpm: state.rpm,
@@ -1004,6 +1166,21 @@ mod tests {
             .submit(Request::new(2, Seconds::ZERO, 0, total, 8, RequestKind::Read))
             .unwrap_err();
         assert!(matches!(err, SimError::OutOfRange { .. }));
+
+        // An end past u64::MAX must not wrap round into the volume.
+        let err = sys
+            .submit(Request::new(
+                3,
+                Seconds::ZERO,
+                0,
+                u64::MAX - 3,
+                8,
+                RequestKind::Read,
+            ))
+            .unwrap_err();
+        assert!(matches!(err, SimError::OutOfRange { .. }), "{err}");
+        assert!(err.to_string().contains(&u64::MAX.to_string()), "{err}");
+        assert!(sys.drain().is_empty());
     }
 
     #[test]
@@ -1135,6 +1312,97 @@ mod tests {
             assert!(refused, "{err}");
         }
         assert!(StorageSystem::restore_state(narrow, state).is_err());
+    }
+
+    #[test]
+    fn a_state_whose_slabs_do_not_hold_together_is_refused() {
+        // Twenty reads 0.5 ms apart against ~5 ms services: at 30 ms a
+        // few have finished since the last arrived (freed parents and
+        // slots), one is in service and the rest queue on the one disk.
+        let cfg = SystemConfig::single_disk(spec());
+        let mut sys = StorageSystem::new(cfg.clone()).unwrap();
+        for i in 0..20 {
+            sys.submit(read(i, i as f64 * 0.5, (i * 997_123) % 10_000_000))
+                .unwrap();
+        }
+        let done = sys.advance_to(Seconds::from_millis(30.0)).len();
+        let state = sys.capture_state();
+        let q = state.disk_queues[0];
+        assert!(q.len >= 3 && !state.slot_free.is_empty() && !state.parent_free.is_empty());
+        let mut restored = StorageSystem::restore_state(cfg.clone(), state.clone()).unwrap();
+        assert_eq!(done + restored.drain().len(), 20);
+
+        // Where the corruptions land: the queue's head and second slot,
+        // the head's (live) parent, a freed parent and a time just
+        // before the clock.
+        struct At {
+            head: usize,
+            second: usize,
+            live: usize,
+            freed: u32,
+            before: Seconds,
+        }
+        let at = At {
+            head: q.head as usize,
+            second: state.slots[q.head as usize].next as usize,
+            live: state.slots[q.head as usize].phys.parent_slot as usize,
+            freed: state.parent_free[0],
+            before: Seconds::new(state.clock.get() - 1e-3),
+        };
+        type Corrupt = fn(&mut SystemState, &At);
+        let cases: [(&str, Corrupt); 14] = [
+            ("a slot on no list", |s, _| {
+                s.slot_free.pop();
+            }),
+            ("a queued slot also free", |s, at| {
+                s.slot_free.push(at.head as u32)
+            }),
+            ("a free slot twice", |s, _| s.slot_free.push(s.slot_free[0])),
+            ("a prev link that does not mirror", |s, at| {
+                s.slots[at.second].prev = NIL
+            }),
+            ("a tail that is not the last slot", |s, at| {
+                s.disk_queues[0].tail = at.head as u32
+            }),
+            ("a parent freed twice", |s, _| {
+                s.parent_free.push(s.parent_free[0])
+            }),
+            ("a queued gating op whose parent is free", |s, at| {
+                s.slots[at.head].phys.parent_slot = at.freed;
+            }),
+            (
+                "a queued gating op whose parent is out of range",
+                |s, at| {
+                    s.slots[at.head].phys.parent_slot = s.parents.len() as u32;
+                },
+            ),
+            ("a live parent awaiting none", |s, at| {
+                s.parents[at.live].remaining = 0
+            }),
+            ("a live parent awaiting one too many", |s, at| {
+                s.parents[at.live].remaining += 1
+            }),
+            ("an in-service finish before the clock", |s, at| {
+                s.in_service[0].as_mut().unwrap().0 = at.before;
+            }),
+            ("an in-service finish that is not finite", |s, _| {
+                s.in_service[0].as_mut().unwrap().0 = Seconds::new(f64::INFINITY);
+            }),
+            ("a live parent arriving after the clock", |s, at| {
+                s.parents[at.live].request.arrival = Seconds::new(1e300);
+            }),
+            ("a queued op away from its location", |s, at| {
+                s.slots[at.head].phys.lba = 0
+            }),
+        ];
+        for (what, corrupt) in cases {
+            let mut bad = state.clone();
+            corrupt(&mut bad, &at);
+            match StorageSystem::restore_state(cfg.clone(), bad) {
+                Err(SimError::BadConfig(_)) => {}
+                other => panic!("{what}: {other:?}"),
+            }
+        }
     }
 
     #[test]

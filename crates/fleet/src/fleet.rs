@@ -1312,12 +1312,11 @@ impl Fleet {
             state.spec.rpm(),
             &state.coordinator.policy(),
         )?;
-        let bays = state
-            .bays
-            .into_iter()
-            .enumerate()
-            .map(|(i, b)| Bay::restore_state(i, b, &maps, system.clone()))
-            .collect::<Result<Vec<_>, _>>()?;
+        // Reserved up front: a fallible collect cannot size its Vec.
+        let mut bays = Vec::with_capacity(n);
+        for (i, b) in state.bays.into_iter().enumerate() {
+            bays.push(Bay::restore_state(i, b, &maps, system.clone())?);
+        }
         Ok(Self {
             bays,
             spec: state.spec,
@@ -1936,11 +1935,14 @@ mod tests {
 
         // With requests in flight: a two-bay RAID-5 state captured
         // mid-traffic, one array degraded and rebuilding. The sweep
-        // covers what this state makes the one source of truth — every
-        // numeric leaf of the fleet's disk spec, and each bay's spindle
-        // speed and failed member, the latter also at the array width
-        // (one past the last member), and the two numbers of its serial
-        // airflow graph.
+        // covers every numeric leaf of each bay's storage system (its
+        // disks, slot and parent slabs with their free lists, in-service
+        // operations, clock and counters), what this state makes the one
+        // source of truth — every numeric leaf of the fleet's disk spec,
+        // and each bay's failed member also at the array width (one past
+        // the last member) — and the two numbers of its serial airflow
+        // graph. The traffic is light enough to keep the slabs, and so
+        // the sweep, small.
         const WIDTH: u32 = 4;
         let mut cfg = config(2, 15_020.0, 10.0);
         cfg.array = Some(EnclosureArray {
@@ -1954,9 +1956,13 @@ mod tests {
             resume_margin: TempDelta::new(0.3),
         };
         let mut fleet = Fleet::new(cfg).unwrap();
-        fleet.offer(trace(4_000, 1_000.0));
+        fleet.offer(trace(1_050, 500.0));
         fleet.step_epoch(&mut sink, &mut profile);
-        fleet.fail_drive(0, 1, RebuildSpec::default()).unwrap();
+        let rebuild = RebuildSpec {
+            rate_sectors_per_sec: 16_384.0,
+            chunk_sectors: 1_024,
+        };
+        fleet.fail_drive(0, 1, rebuild).unwrap();
         fleet.step_epoch(&mut sink, &mut profile);
         assert!(
             fleet.bays.iter().all(|b| b.system.in_flight() > 0),
@@ -1981,14 +1987,23 @@ mod tests {
                 tally(&with_path(&tree, &["spec"], &spec));
             }
         }
-        let width = serde::Number::UInt(WIDTH.into());
-        let bay_cases = corruptions
-            .iter()
-            .flat_map(|&x| [("rpm", x), ("failed_disk", x)])
-            .chain([("failed_disk", width)]);
-        for (field, x) in bay_cases {
-            for bay in ["0", "1"] {
-                let path = ["bays", bay, "system", field];
+        let mut system_leaves = 0;
+        let bays = tree.get("bays").and_then(serde::Value::as_array).unwrap();
+        for (system, bay) in bays.iter().zip(["0", "1"]) {
+            let path = ["bays", bay, "system"];
+            let system = system.get("system").unwrap();
+            let mut leaves = 0;
+            with_leaf(system, usize::MAX, &mut leaves, serde::Number::UInt(0));
+            for leaf in 0..leaves {
+                for x in corruptions {
+                    let system = with_leaf(system, leaf, &mut 0, x);
+                    tally(&with_path(&tree, &path, &system));
+                }
+            }
+            system_leaves += leaves;
+            let width = serde::Number::UInt(WIDTH.into());
+            for x in corruptions.into_iter().chain([width]) {
+                let path = ["bays", bay, "system", "failed_disk"];
                 tally(&with_path(&tree, &path, &serde::Value::Number(x)));
             }
         }
@@ -2002,8 +2017,8 @@ mod tests {
             }
         }
         assert!(
-            spec_leaves > 200,
-            "the spec has {spec_leaves} numeric leaves"
+            spec_leaves > 200 && system_leaves > 500,
+            "the spec has {spec_leaves} numeric leaves, the systems {system_leaves}"
         );
         assert!(
             refused > 0 && ran > 0,

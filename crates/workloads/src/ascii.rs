@@ -10,7 +10,7 @@
 //! with bit 0 of `flags` set for reads. Supporting it means traces can
 //! travel between this simulator and DiskSim-era tooling.
 
-use crate::trace::bad_line;
+use crate::trace::{exactly, int, read_data_lines};
 use disksim::{Request, RequestKind};
 use std::io::{self, BufRead, Write};
 use units::Seconds;
@@ -40,60 +40,47 @@ pub fn write_ascii_trace<W: Write>(mut writer: W, trace: &[Request]) -> io::Resu
 }
 
 /// Reads a DiskSim default ASCII trace. Blank lines and `#` comments are
-/// skipped; request ids are assigned in file order.
+/// skipped; request ids are assigned in file order. The input streams
+/// one line at a time, as in [`crate::read_trace`].
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` for malformed lines (wrong column count,
-/// non-numeric fields, zero-length requests).
+/// Returns `InvalidData` naming the 1-based line number of the first
+/// malformed line (wrong column count, non-numeric fields, zero-length
+/// requests) or non-UTF-8 line.
 pub fn read_ascii_trace<R: BufRead>(reader: R) -> io::Result<Vec<Request>> {
-    let mut out = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = trimmed.split_whitespace().collect();
-        if fields.len() != 5 {
-            return Err(bad_line(lineno, "expected 5 columns"));
-        }
-        let arrival_ms: f64 = fields[0]
-            .parse()
-            .map_err(|_| bad_line(lineno, "bad arrival time"))?;
-        let device: u32 = fields[1]
-            .parse()
-            .map_err(|_| bad_line(lineno, "bad device number"))?;
-        let lba: u64 = fields[2]
-            .parse()
-            .map_err(|_| bad_line(lineno, "bad block number"))?;
-        let sectors: u32 = fields[3]
-            .parse()
-            .map_err(|_| bad_line(lineno, "bad request size"))?;
-        let flags: u32 = fields[4]
-            .parse()
-            .map_err(|_| bad_line(lineno, "bad flags"))?;
-        if sectors == 0 {
-            return Err(bad_line(lineno, "zero-length request"));
-        }
-        if !arrival_ms.is_finite() || arrival_ms < 0.0 {
-            return Err(bad_line(lineno, "negative or non-finite arrival"));
-        }
-        let kind = if flags & READ_FLAG != 0 {
-            RequestKind::Read
-        } else {
-            RequestKind::Write
-        };
-        out.push(Request::new(
-            out.len() as u64,
-            Seconds::from_millis(arrival_ms),
-            device,
-            lba,
-            sectors,
-            kind,
-        ));
+    read_data_lines(reader, parse_line)
+}
+
+/// Parses one data line (trimmed, neither blank nor a comment) into
+/// request `id`.
+pub(crate) fn parse_line(line: &str, id: u64) -> Result<Request, &'static str> {
+    let [arrival_ms, device, lba, sectors, flags] =
+        exactly(line.split_whitespace()).ok_or("expected 5 columns")?;
+    let arrival_ms: f64 = arrival_ms.parse().map_err(|_| "bad arrival time")?;
+    let device: u32 = int(device.as_bytes()).ok_or("bad device number")?;
+    let lba: u64 = int(lba.as_bytes()).ok_or("bad block number")?;
+    let sectors: u32 = int(sectors.as_bytes()).ok_or("bad request size")?;
+    let flags: u32 = int(flags.as_bytes()).ok_or("bad flags")?;
+    if sectors == 0 {
+        return Err("zero-length request");
     }
-    Ok(out)
+    if !arrival_ms.is_finite() || arrival_ms < 0.0 {
+        return Err("negative or non-finite arrival");
+    }
+    let kind = if flags & READ_FLAG != 0 {
+        RequestKind::Read
+    } else {
+        RequestKind::Write
+    };
+    Ok(Request::new(
+        id,
+        Seconds::from_millis(arrival_ms),
+        device,
+        lba,
+        sectors,
+        kind,
+    ))
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! but otherwise ignored — response times are what the simulator
 //! produces, not what it consumes.
 
-use crate::trace::bad_line;
+use crate::trace::{exactly, int, read_data_lines, trim};
 use disksim::{Request, RequestKind};
 use std::io::{self, BufRead, Write};
 use units::Seconds;
@@ -63,70 +63,72 @@ pub fn write_msr_trace<W: Write>(mut writer: W, trace: &[Request], hostname: &st
 
 /// Reads an MSR-Cambridge CSV trace. Blank lines and `#` comments are
 /// skipped; request ids are assigned in file order; `diskno` becomes the
-/// request's device.
+/// request's device. The input streams one line at a time, as in
+/// [`crate::read_trace`].
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` naming the 1-based line number for malformed
-/// rows (wrong column count, non-numeric fields, unknown request type,
-/// zero-length requests).
+/// Returns `InvalidData` naming the 1-based line number of the first
+/// malformed row (wrong column count, non-numeric fields, unknown
+/// request type, zero-length requests) or non-UTF-8 line.
 pub fn read_msr_trace<R: BufRead>(reader: R) -> io::Result<Vec<Request>> {
-    let mut out = Vec::new();
-    let mut base_ticks: Option<u64> = None;
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = trimmed.split(',').map(str::trim).collect();
-        if fields.len() != 7 {
-            return Err(bad_line(lineno, "expected 7 comma-separated columns"));
-        }
-        let ticks: u64 = fields[0]
-            .parse()
-            .map_err(|_| bad_line(lineno, "bad timestamp"))?;
-        // fields[1] is the hostname: free-form, kept only in the file.
-        let device: u32 = fields[2]
-            .parse()
-            .map_err(|_| bad_line(lineno, "bad disk number"))?;
-        let kind = match fields[3].to_ascii_lowercase().as_str() {
-            "read" => RequestKind::Read,
-            "write" => RequestKind::Write,
-            _ => return Err(bad_line(lineno, "request type must be Read or Write")),
+    let mut rows = MsrRows::default();
+    read_data_lines(reader, |line, id| rows.parse(line, id))
+}
+
+/// The MSR-Cambridge row parser, carrying the rebase of absolute
+/// FILETIME stamps from the first row to the rest.
+#[derive(Debug, Default)]
+pub(crate) struct MsrRows {
+    base_ticks: Option<u64>,
+}
+
+impl MsrRows {
+    /// Parses one data row (trimmed, neither blank nor a comment) into
+    /// request `id`.
+    pub(crate) fn parse(&mut self, line: &str, id: u64) -> Result<Request, &'static str> {
+        // A comma is one byte in UTF-8, so the fields split as bytes.
+        let columns = line.as_bytes().split(|&b| b == b',').map(trim);
+        let [ticks, _hostname, device, kind, offset, size, latency] =
+            exactly(columns).ok_or("expected 7 comma-separated columns")?;
+        let ticks: u64 = int(ticks).ok_or("bad timestamp")?;
+        // The hostname is free-form, kept only in the file.
+        let device: u32 = int(device).ok_or("bad disk number")?;
+        let kind = if kind.eq_ignore_ascii_case(b"read") {
+            RequestKind::Read
+        } else if kind.eq_ignore_ascii_case(b"write") {
+            RequestKind::Write
+        } else {
+            return Err("request type must be Read or Write");
         };
-        let offset: u64 = fields[4]
-            .parse()
-            .map_err(|_| bad_line(lineno, "bad byte offset"))?;
-        let size: u64 = fields[5]
-            .parse()
-            .map_err(|_| bad_line(lineno, "bad byte size"))?;
-        let _latency: f64 = fields[6]
-            .parse()
-            .map_err(|_| bad_line(lineno, "bad latency"))?;
-        if size == 0 {
-            return Err(bad_line(lineno, "zero-length request"));
+        let offset: u64 = int(offset).ok_or("bad byte offset")?;
+        let size: u64 = int(size).ok_or("bad byte size")?;
+        let numeric = |f: &[u8]| std::str::from_utf8(f).is_ok_and(|f| f.parse::<f64>().is_ok());
+        if int::<u64>(latency).is_none() && !numeric(latency) {
+            return Err("bad latency");
         }
-        let sectors = size.div_ceil(SECTOR_BYTES);
-        let sectors = u32::try_from(sectors)
-            .map_err(|_| bad_line(lineno, "request size exceeds u32 sectors"))?;
+        if size == 0 {
+            return Err("zero-length request");
+        }
+        let sectors = u32::try_from(size.div_ceil(SECTOR_BYTES))
+            .map_err(|_| "request size exceeds u32 sectors")?;
         // Rebase absolute captures to their first record; the decision is
         // made once so a trace is interpreted consistently throughout.
-        let base = *base_ticks
+        let base = *self
+            .base_ticks
             .get_or_insert(if ticks >= ABSOLUTE_TICKS { ticks } else { 0 });
-        let rel = ticks.checked_sub(base).ok_or_else(|| {
-            bad_line(lineno, "timestamp earlier than the trace's first record")
-        })?;
-        out.push(Request::new(
-            out.len() as u64,
+        let rel = ticks
+            .checked_sub(base)
+            .ok_or("timestamp earlier than the trace's first record")?;
+        Ok(Request::new(
+            id,
             Seconds::new(rel as f64 * TICK_S),
             device,
             offset / SECTOR_BYTES,
             sectors,
             kind,
-        ));
+        ))
     }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -26,6 +26,15 @@ echo "==> cargo test --release -q -p serde --test float_oracle -- --ignored"
 # which covers the fixed edge cases and 40k random values.
 cargo test --release -q -p serde --test float_oracle -- --ignored
 
+echo "==> cargo test --release -q -p workloads --test reader_oracle -- --ignored"
+# The streaming trace reader (read_trace, read_msr_trace,
+# read_ascii_trace) against a reference copy of the collect-and-rejoin
+# reader it replaced: 100,000 generated traces in all three formats
+# must read to the same requests or both be refused, and 100,000
+# arbitrary byte strings must not make it panic. The debug run above
+# draws 4,000 cases of each.
+cargo test --release -q -p workloads --test reader_oracle -- --ignored
+
 echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml"
 # The end-to-end benchmark is a Cargo workspace of its own that builds
 # against crates/* by path, so the steps above never compile it: a
