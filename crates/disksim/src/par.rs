@@ -92,11 +92,13 @@ pub fn total_order_key(x: f64) -> u64 {
     bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
 }
 
-/// Streams the elements of `runs` through `emit`, one borrowed element
-/// at a time, in exactly the order of the *stable* sort of the runs'
-/// concatenation by `key`: on equal keys the element from the earlier
-/// run comes first, and within a run original order is kept. Empty runs
-/// are fine, and a run need not be sorted.
+/// Streams the elements of the `runs` runs `run(0)`, `run(1)`, ...
+/// through `emit`, one borrowed element at a time, in exactly the order
+/// of the *stable* sort of the runs' concatenation by `key`: on equal
+/// keys the element from the earlier run comes first, and within a run
+/// original order is kept. Empty runs are fine, and a run need not be
+/// sorted. Runs are reached through `run`, so a caller whose runs live
+/// in different places builds no list of them.
 ///
 /// Each element becomes one 16-byte entry in `entries`, its key above
 /// its run index above its position, so the entries are distinct and
@@ -117,26 +119,29 @@ pub fn total_order_key(x: f64) -> u64 {
 ///
 /// Panics if there are more than `u32::MAX` runs or a run holds more
 /// than `u32::MAX` elements.
-pub fn merge_runs_by<T>(
-    runs: &[&[T]],
+pub fn merge_runs_by<'a, T: 'a>(
+    runs: usize,
+    run: impl Fn(usize) -> &'a [T],
     key: impl Fn(&T) -> u64,
     entries: &mut Vec<u128>,
     mut emit: impl FnMut(&T),
 ) {
     entries.clear();
-    entries.reserve(runs.iter().map(|run| run.len()).sum());
-    for (r, run) in runs.iter().enumerate() {
+    entries.reserve((0..runs).map(|r| run(r).len()).sum());
+    for r in 0..runs {
+        let elements = run(r);
         let r = u32::try_from(r).expect("run index fits in 32 bits");
-        assert!(u32::try_from(run.len()).is_ok(), "run length fits in 32 bits");
+        assert!(u32::try_from(elements.len()).is_ok(), "run length fits in 32 bits");
         entries.extend(
-            run.iter()
+            elements
+                .iter()
                 .enumerate()
                 .map(|(p, e)| (u128::from(key(e)) << 64) | (u128::from(r) << 32) | p as u128),
         );
     }
     entries.sort_unstable();
     for &entry in entries.iter() {
-        emit(&runs[(entry >> 32) as u32 as usize][entry as u32 as usize]);
+        emit(&run((entry >> 32) as u32 as usize)[entry as u32 as usize]);
     }
 }
 
@@ -176,9 +181,8 @@ mod tests {
 
     /// Collects `merge_runs_by` into a vector of copies.
     fn merged<T: Copy>(runs: &[Vec<T>], key: impl Fn(&T) -> u64) -> Vec<T> {
-        let runs: Vec<&[T]> = runs.iter().map(Vec::as_slice).collect();
         let mut out = Vec::new();
-        merge_runs_by(&runs, key, &mut Vec::new(), |x| out.push(*x));
+        merge_runs_by(runs.len(), |r| &runs[r], key, &mut Vec::new(), |x| out.push(*x));
         out
     }
 
@@ -212,13 +216,15 @@ mod tests {
         let mut entries = Vec::new();
         let mut seen = Vec::new();
         let first_byte = |s: &String| u64::from(s.as_bytes()[0]);
-        merge_runs_by(&[&a, &b], first_byte, &mut entries, |s| seen.push(s.clone()));
+        let runs = [&a, &b];
+        merge_runs_by(2, |r| runs[r], first_byte, &mut entries, |s| seen.push(s.clone()));
         assert_eq!(seen, ["a", "b", "c"]);
         assert_eq!(a.len() + b.len(), 3, "the runs are only borrowed");
         // A second merge reuses the entry buffer without growing it.
         let capacity = entries.capacity();
         seen.clear();
-        merge_runs_by(&[&b, &a], first_byte, &mut entries, |s| seen.push(s.clone()));
+        let runs = [&b, &a];
+        merge_runs_by(2, |r| runs[r], first_byte, &mut entries, |s| seen.push(s.clone()));
         assert_eq!(seen, ["a", "b", "c"]);
         assert_eq!(entries.capacity(), capacity);
     }

@@ -244,10 +244,10 @@ proptest! {
             .collect();
         let mut expected: Vec<(f64, usize, usize)> = runs.concat();
         expected.sort_by(|a, b| a.0.total_cmp(&b.0)); // the old global stable sort
-        let slices: Vec<&[(f64, usize, usize)]> = runs.iter().map(Vec::as_slice).collect();
         let mut got = Vec::with_capacity(expected.len());
         let key = |e: &(f64, usize, usize)| disksim::par::total_order_key(e.0);
-        disksim::par::merge_runs_by(&slices, key, &mut Vec::new(), |e| got.push(*e));
+        let run = |r: usize| runs[r].as_slice();
+        disksim::par::merge_runs_by(runs.len(), run, key, &mut Vec::new(), |e| got.push(*e));
         prop_assert_eq!(got, expected);
     }
 

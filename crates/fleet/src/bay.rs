@@ -26,7 +26,7 @@ use disksim::{
     StorageSystem, SystemConfig, SystemState,
 };
 use diskthermal::{
-    drive_heat_estimate, DriveThermalSpec, HeldReading, NodeTemps, OperatingPoint, Propagator,
+    vcm_power_for_platter, DriveThermalSpec, HeldReading, NodeTemps, Propagator, SpindleHeat,
     TempSensor, ThermalModel,
 };
 use serde::{Deserialize, Serialize};
@@ -35,16 +35,26 @@ use units::{Celsius, Rpm, Seconds};
 
 /// The fleet's exact window maps: one [`Propagator`] over the control
 /// window per spindle speed a bay can run at — the disk spec's speed and
-/// every speed the DTM policy can set. Built serially when the fleet is
-/// built or restored and never changed after; both parallel passes only
-/// read it.
+/// every speed the DTM policy can set — with the speed's terms of the
+/// heat estimate beside it. Built serially when the fleet is built or
+/// restored and never changed after; both parallel passes only read it.
 #[derive(Debug, Clone)]
 pub(crate) struct WindowMaps {
     /// The drive's thermal geometry; its ambient is the rack inlet
     /// before preheat and plays no part in the maps.
     spec: DriveThermalSpec,
     window: Seconds,
-    entries: Vec<Propagator>,
+    /// The actuator power of [`diskthermal::drive_heat_estimate`], watts.
+    vcm_watts: f64,
+    entries: Vec<SpeedMap>,
+}
+
+/// What a bay at one spindle speed needs each epoch: the window map and
+/// the speed-fixed terms of its heat estimate.
+#[derive(Debug, Clone)]
+struct SpeedMap {
+    map: Propagator,
+    heat: SpindleHeat,
 }
 
 impl WindowMaps {
@@ -53,6 +63,7 @@ impl WindowMaps {
         Self {
             spec,
             window,
+            vcm_watts: vcm_power_for_platter(spec.platter_diameter()).get(),
             entries: Vec::new(),
         }
     }
@@ -65,7 +76,9 @@ impl WindowMaps {
     /// The index of the map at `rpm`, if the table holds one.
     pub fn index(&self, rpm: Rpm) -> Option<usize> {
         let bits = rpm.get().to_bits();
-        self.entries.iter().position(|m| m.rpm().get().to_bits() == bits)
+        self.entries
+            .iter()
+            .position(|e| e.map.rpm().get().to_bits() == bits)
     }
 
     /// The index of the map at `rpm`, building it first if the table
@@ -82,8 +95,19 @@ impl WindowMaps {
         let map = Propagator::new(&ThermalModel::new(self.spec), rpm, self.window).map_err(|e| {
             FleetError::Config(format!("no thermal window map at {} RPM: {e}", rpm.get()))
         })?;
-        self.entries.push(map);
+        self.entries.push(SpeedMap {
+            map,
+            heat: SpindleHeat::new(&self.spec, rpm),
+        });
         Ok(self.entries.len() - 1)
+    }
+
+    /// [`diskthermal::drive_heat_estimate`] for a drive at map `i`'s
+    /// speed and actuator duty `duty`, in watts, from the terms kept per
+    /// speed: bit for bit the same sum, without its power laws.
+    pub fn heat(&self, i: usize, duty: f64) -> f64 {
+        debug_assert!((0.0..=1.0).contains(&duty), "duty {duty} outside [0, 1]");
+        self.entries[i].heat.with_actuator(self.vcm_watts, duty).get()
     }
 
     /// The energy coefficients of the bays' disks: the defaults with
@@ -373,7 +397,7 @@ impl Bay {
     /// bit-identical timestamps however the fleet shards them.
     fn serve_epoch(&mut self, gated: bool, ctx: &EpochCtx) -> Result<(), SimError> {
         // Speeds change only at the boundary, so one map serves the epoch.
-        let map = &ctx.maps.entries[self.map];
+        let map = &ctx.maps.entries[self.map].map;
         self.completions.clear();
         let window = ctx.window;
         let disks = self.system.disks().len() as f64;
@@ -461,8 +485,7 @@ impl Bay {
                 "drive streams are time-sorted"
             );
         }
-        let op = OperatingPoint::new(self.rpm(), self.epoch_duty);
-        drive_heat_estimate(ctx.maps.spec(), op).get()
+        ctx.maps.heat(self.map, self.epoch_duty)
     }
 
     /// Pass B for bay `i`: couples the bay to its new local `ambient`,
@@ -640,6 +663,20 @@ mod tests {
         // now drifts the air upward.
         b.serve_epoch(false, &ctx(&maps, 0)).unwrap();
         assert!(b.air() > before.air);
+    }
+
+    #[test]
+    fn per_speed_heat_terms_reproduce_the_estimate_bit_for_bit() {
+        let (_, mut maps) = bay(15_020.0);
+        for rpm in [15_020.0, 12_000.0, 10_000.0] {
+            let i = maps.ensure(Rpm::new(rpm)).unwrap();
+            for duty in [0.0, 0.125, 0.37, 1.0 / 3.0, 1.0] {
+                let op = diskthermal::OperatingPoint::new(Rpm::new(rpm), duty);
+                let estimate = diskthermal::drive_heat_estimate(maps.spec(), op).get();
+                let heat = maps.heat(i, duty);
+                assert_eq!(heat.to_bits(), estimate.to_bits(), "{rpm} RPM, duty {duty}");
+            }
+        }
     }
 
     #[test]

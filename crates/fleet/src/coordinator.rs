@@ -786,8 +786,9 @@ mod tests {
                 .unwrap()
                 .run_with_sink(heavy_trace(3_000, 120.0, 24_534.0), &mut sink)
                 .unwrap();
-            let transitions: Vec<(f64, bool)> = sink
-                .drain()
+            let mut events = Vec::new();
+            sink.drain_into(&mut events);
+            let transitions: Vec<(f64, bool)> = events
                 .into_iter()
                 .filter_map(|e| match e.event {
                     diskobs::Event::CoordinatorAction { action, .. } => match action {

@@ -539,9 +539,10 @@ pub struct Fleet {
     /// phases), stamped with the boundary time and drained into the
     /// next epoch's merged stream.
     boundary_events: Vec<diskobs::Event>,
-    // Per-epoch scratch, reused across the whole run so the untraced
-    // epoch loop allocates nothing in steady state (the traced path
-    // hands its event runs to the merge, which consumes them).
+    // Per-epoch scratch, reused across the whole run so the epoch loop
+    // allocates nothing in steady state, traced or not (the traced path
+    // lends its event runs to the merge and clears them, keeping their
+    // capacity).
     hot: FleetHotState,
     route: RoutingScratch,
     /// This epoch's placements: the bay the routing commit chose for
@@ -990,13 +991,17 @@ impl Fleet {
             // that order, exactly as a global stable time-sort would):
             // the bytes are shard-independent, the runs are borrowed,
             // then cleared with their capacity kept for the next epoch,
-            // and so are the merge's sort entries. It counts as serial
-            // time.
-            let mut runs: Vec<&[diskobs::TimedEvent]> = Vec::with_capacity(n + 1);
-            runs.push(&routing_run);
-            runs.extend(self.bays.iter().map(|b| b.run.as_slice()));
+            // and so are the merge's sort entries, so a traced epoch
+            // allocates nothing once they have grown. It counts as
+            // serial time.
+            let bays = &self.bays;
+            let run = |r: usize| match r {
+                0 => routing_run.as_slice(),
+                _ => bays[r - 1].run.as_slice(),
+            };
             disksim::par::merge_runs_by(
-                &runs,
+                n + 1,
+                run,
                 |e| disksim::par::total_order_key(e.t),
                 &mut self.merge_entries,
                 |e| sink.record(e),

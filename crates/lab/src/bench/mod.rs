@@ -443,7 +443,8 @@ mod tests {
         assert!(fleet_wall_ms_with(150, &mut null).unwrap() > 0.0);
         let mut buffer = diskobs::Sink::buffer();
         assert!(fleet_wall_ms_with(150, &mut buffer).unwrap() > 0.0);
-        let events = buffer.drain();
+        let mut events = Vec::new();
+        buffer.drain_into(&mut events);
         assert!(events.len() > 150, "expected a rich stream, got {}", events.len());
     }
 

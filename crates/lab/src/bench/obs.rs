@@ -158,8 +158,10 @@ pub fn obs_bench(quick: bool) -> Result<ObsBenchReport, LabError> {
     for round in 0..ROUNDS {
         let mut buffer = diskobs::Sink::buffer();
         rec.push(fleet_wall_ms_with(requests, &mut buffer)?);
-        recorded_events = buffer.drain().len() as u64;
-        drop(buffer);
+        let mut events = Vec::new();
+        buffer.drain_into(&mut events);
+        recorded_events = events.len() as u64;
+        drop((buffer, events));
         // A discarded warmup run absorbs the allocator churn the
         // recording buffer leaves behind, so the paired null runs that
         // follow see identical machine state.

@@ -61,7 +61,8 @@ pub fn run_trace(name: &str, threads: usize, dir: &Path) -> Result<TraceOutcome,
             )))
         }
     }
-    let events = sink.drain();
+    let mut events = Vec::new();
+    sink.drain_into(&mut events);
     write_outputs(name, &events, dir)
 }
 

@@ -135,15 +135,6 @@ pub struct TimedEvent {
     pub event: Event,
 }
 
-impl TimedEvent {
-    /// Renders the event as one compact NDJSON line (no trailing
-    /// newline). Rendering goes through the same serializer everywhere,
-    /// so identical event streams produce identical bytes.
-    pub fn to_ndjson_line(&self) -> String {
-        serde_json::to_string(self).unwrap_or_default()
-    }
-}
-
 /// Whether `events` is nondecreasing in `t` under `f64::total_cmp`.
 ///
 /// The k-way merge at the fleet's epoch boundary assumes every
@@ -184,12 +175,12 @@ mod tests {
                 kind: "read",
             },
         };
-        let line = e.to_ndjson_line();
+        let line = serde_json::to_string(&e).unwrap();
         assert!(line.starts_with("{\"t\":1.25,"), "line was {line}");
         assert!(line.contains("\"RequestIssue\""));
         assert!(!line.contains('\n'));
         // Rendering is a pure function of the event.
-        assert_eq!(line, e.to_ndjson_line());
+        assert_eq!(line, serde_json::to_string(&e).unwrap());
     }
 
     #[test]
@@ -217,7 +208,7 @@ mod tests {
             Event::Log { level: "info", message: "hello".into() },
         ];
         for event in variants {
-            let line = TimedEvent { t: 0.0, event }.to_ndjson_line();
+            let line = serde_json::to_string(&TimedEvent { t: 0.0, event }).unwrap();
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
     }

@@ -78,10 +78,11 @@ fn run_at(threads: usize) -> (Vec<EpochSample>, String, String) {
     let mut sink = diskobs::Sink::buffer();
     let mut samples = Vec::new();
     run_scenario(&mut fleet, &mut src, &mut engine, EPOCHS, &mut sink, &mut samples).unwrap();
-    let ndjson: String = sink
-        .drain()
+    let mut events = Vec::new();
+    sink.drain_into(&mut events);
+    let ndjson: String = events
         .iter()
-        .map(|e| e.to_ndjson_line() + "\n")
+        .map(|e| serde_json::to_string(e).unwrap() + "\n")
         .collect();
     let report = serde_json::to_string(&fleet.report()).unwrap();
     (samples, ndjson, report)

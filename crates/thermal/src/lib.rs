@@ -57,7 +57,7 @@ mod sources;
 mod spec;
 mod transient;
 
-pub use array::drive_heat_estimate;
+pub use array::{drive_heat_estimate, SpindleHeat};
 pub use envelope::{ambient_for_envelope, max_rpm_within_envelope, EnvelopeSearch, THERMAL_ENVELOPE};
 pub use error::ThermalError;
 pub use model::{Conductances, NodeTemps, PowerBreakdown, ThermalModel};

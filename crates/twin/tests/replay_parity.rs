@@ -39,7 +39,12 @@ fn msr_trace() -> Vec<Request> {
 }
 
 fn ndjson(sink: &mut diskobs::Sink) -> String {
-    sink.drain().iter().map(|e| e.to_ndjson_line() + "\n").collect()
+    let mut events = Vec::new();
+    sink.drain_into(&mut events);
+    events
+        .iter()
+        .map(|e| serde_json::to_string(e).unwrap() + "\n")
+        .collect()
 }
 
 /// Replays the MSR trace through a batch fleet stepped by

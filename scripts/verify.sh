@@ -20,10 +20,15 @@ echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> cargo test --release -q -p serde --test float_oracle -- --ignored"
-# The float writer behind every JSON output (traces, checkpoints,
-# results/, BENCH_*.json) against the core::fmt rule it replaced, on
-# 16M random bit patterns. It is #[ignore]d in the debug run above,
-# which covers the fixed edge cases and 40k random values.
+# The scalar writers behind every JSON output (traces, checkpoints,
+# results/, BENCH_*.json) against the rules they replaced: write_f64
+# against core::fmt on 16M random bit patterns and on 8M short
+# decimals n * 10^-k (k = 0..=12, tick times among them, whose digits
+# the kernel strips four at a time), and write_u64 / write_i64 against
+# to_string on 16M integers of every magnitude. These are #[ignore]d
+# in the debug run above, which covers the fixed edge cases (every
+# decimal-point placement, powers of ten +-1, u64::MAX, i64::MIN) and
+# a few thousand random values of each kind.
 cargo test --release -q -p serde --test float_oracle -- --ignored
 
 echo "==> cargo test --release -q -p workloads --test reader_oracle -- --ignored"

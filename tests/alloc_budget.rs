@@ -12,17 +12,24 @@
 //! folds, the airflow reduces and the coordinator — on a one-bay fleet
 //! and on a small hall to the same budget. A third subject pins the surrogate training
 //! sweep's per-point target reduction (`disklab::sweep::reduce_targets`)
-//! to the same budget, a fourth pins NDJSON trace recording: once its
-//! line buffer has held the longest line, `NdjsonRecorder` renders and
-//! writes events without touching the heap. A fifth pins `StorageSystem::restore_state`, which hands
+//! to the same budget, a fourth pins NDJSON trace recording:
+//! `NdjsonRecorder` renders events into a batch buffer sized once when
+//! it is built and hands the writer whole batches without touching the
+//! heap. A fifth pins `StorageSystem::restore_state`, which hands
 //! the captured buffers and the owner's configuration (its shared disk spec included) to the rebuilt
-//! system and allocates nothing.
+//! system and allocates nothing. A sixth pins the traced fleet epoch:
+//! a small RAID-5 fleet recording every event as NDJSON keeps its
+//! drives' event buffers, its per-bay and routing runs, the merge's
+//! entries and the recorder's batch across epochs, so once they have
+//! grown an epoch allocates nothing either.
 //!
 //! Everything lives in one `#[test]` function: the counter is global,
 //! and the test harness runs sibling tests on other threads, which
 //! would otherwise charge their allocations to this budget.
 
-use diskfleet::{AirflowGraph, Fleet, FleetConfig, FleetDtmPolicy, FleetPhaseProfile};
+use diskfleet::{
+    AirflowGraph, EnclosureArray, Fleet, FleetConfig, FleetDtmPolicy, FleetPhaseProfile,
+};
 use disksim::{Completion, DiskSpec, Request, RequestKind, StorageSystem, SystemConfig};
 use diskthermal::DriveThermalSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -229,11 +236,12 @@ fn steady_state_windows_allocate_nothing() {
     );
 
     // --- Subject 4: NDJSON recording. ---
-    // Every event renders straight into the recorder's reused line
-    // buffer (no value tree, no per-event `String`) and reaches the
-    // writer in one `write_all`. The events are built up front — their
-    // construction is the producer's cost, not the recorder's — and one
-    // warm-up event, the mix's longest line, sizes the buffer.
+    // Every event renders straight into the recorder's batch buffer (no
+    // value tree, no per-event `String`), which the recorder sizes when
+    // it is built, and a full batch reaches the writer in one
+    // `write_all`. The events are built up front — their construction
+    // is the producer's cost, not the recorder's — and the 768 lines
+    // measured fill the 64 KiB batch more than once.
     use diskobs::{Event, NdjsonRecorder, Recorder, TimedEvent};
     let mix: Vec<TimedEvent> = [
         Event::RequestIssue {
@@ -303,12 +311,12 @@ fn steady_state_windows_allocate_nothing() {
         event,
     })
     .collect();
-    let longest = mix
+    let mix_bytes: usize = mix
         .iter()
-        .max_by_key(|e| e.to_ndjson_line().len())
-        .expect("the mix is not empty");
+        .map(|e| serde_json::to_string(e).expect("events render").len() + 1)
+        .sum();
+    assert!(64 * mix_bytes > 64 * 1024, "the measured lines fill a batch");
     let mut recorder = NdjsonRecorder::new(std::io::sink());
-    recorder.record(longest);
     let before = allocations();
     for _ in 0..64 {
         for e in &mix {
@@ -320,7 +328,7 @@ fn steady_state_windows_allocate_nothing() {
         ndjson_allocs, 0,
         "NDJSON recording allocated {ndjson_allocs} times in steady state"
     );
-    assert_eq!(recorder.lines(), 1 + 64 * mix.len() as u64);
+    assert_eq!(recorder.lines(), 64 * mix.len() as u64);
     assert!(recorder.error().is_none());
 
     // --- Subject 5: restoring a checkpointed storage system. ---
@@ -351,5 +359,49 @@ fn steady_state_windows_allocate_nothing() {
     assert!(
         sys.in_flight() > 0,
         "the captured state holds queued arrivals"
+    );
+
+    // --- Subject 6: the traced fleet epoch. ---
+    // Four RAID-5 bays whose drives buffer every request issue and
+    // completion, routed round-robin under speed scaling, with the
+    // fleet's sink recording NDJSON into a discarding writer. Each
+    // epoch drains the drives' buffers into the bays' runs, merges them
+    // with the routing run into the recorder and clears them all with
+    // their capacity kept. The warm-up matches Subject 2's.
+    let mut config =
+        FleetConfig::serial(4, DiskSpec::era(2002, 1, Rpm::new(15_020.0)), thermal, 10.0)
+            .expect("four bays");
+    config.array = Some(EnclosureArray {
+        disks: 4,
+        stripe_sectors: 64,
+    });
+    config.dtm = FleetDtmPolicy::SpeedScale {
+        high: Rpm::new(15_020.0),
+        low: Rpm::new(12_000.0),
+        guard: TempDelta::new(0.3),
+        resume_margin: TempDelta::new(0.3),
+    };
+    let mut fleet = Fleet::new(config).expect("valid fleet");
+    let span = (warm_epochs + measured_epochs + 2) as f64 * fleet.epoch_len().get();
+    let fleet_rate = rate * 4.0;
+    fleet.offer(trace((span * fleet_rate) as u64, fleet_rate, capacity));
+    fleet.enable_drive_sinks();
+    let mut sink = diskobs::Sink::recorder(NdjsonRecorder::new(std::io::sink()));
+    let mut profile = FleetPhaseProfile::default();
+    for _ in 0..warm_epochs {
+        fleet.step_epoch(&mut sink, &mut profile);
+    }
+    let before = allocations();
+    for _ in 0..measured_epochs {
+        fleet.step_epoch(&mut sink, &mut profile);
+    }
+    let traced_allocs = allocations() - before;
+    assert_eq!(
+        traced_allocs, 0,
+        "traced Fleet::step_epoch allocated {traced_allocs} times in steady state"
+    );
+    assert!(
+        fleet.report().stats.count() > 1_000,
+        "the traced fleet served the stream"
     );
 }
